@@ -1,7 +1,11 @@
 // Micro-benchmarks (google-benchmark): the primitive operations underneath
-// the table/figure benches — FFT sizes, kernel evaluation, LUT lookups,
+// the table/figure benches — FFT sizes and per-pass FftNd rates, kernel
+// evaluation, LUT lookups,
 // window computation, histogram/partitioning, scheduler round trips.
 #include <benchmark/benchmark.h>
+
+#include <cmath>
+#include <string>
 
 #include "common.hpp"
 #include "core/convolution.hpp"
@@ -57,6 +61,51 @@ void BM_Fft3d(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_Fft3d)->Arg(32)->Arg(64);
+
+// The pair3d grid: 128³ at α = 2 around an N = 64 image. Each FftNd axis
+// pass of both walks, full and pruned to the image support. The GFLOP/s
+// counter charges 5·len·log2(len) per row the pass actually transforms.
+void BM_FftNdPass128(benchmark::State& state) {
+  constexpr std::size_t m = 128;
+  constexpr index_t n = 64;
+  const auto axis = static_cast<std::size_t>(state.range(0));
+  const bool pruned = state.range(1) != 0;
+  const auto dir = state.range(2) != 0 ? fft::Direction::kInverse : fft::Direction::kForward;
+  std::vector<std::vector<index_t>> support(3);
+  for (auto& rows : support) {
+    for (index_t i = 0; i < n - n / 2; ++i) rows.push_back(i);
+    for (index_t i = static_cast<index_t>(m) - n / 2; i < static_cast<index_t>(m); ++i) rows.push_back(i);
+  }
+  const fft::FftNd<float> plan({m, m, m}, dir, support);
+  const aligned_vector<cfloat> input = bench::random_values(static_cast<index_t>(m * m * m), 5);
+  aligned_vector<cfloat> data(input.size());
+  ThreadPool pool(bench_threads());
+  for (auto _ : state) {
+    // Fresh input every pass, so repeated unnormalized passes cannot overflow.
+    state.PauseTiming();
+    data = input;
+    state.ResumeTiming();
+    plan.transform_pass(data.data(), axis, pruned, pool);
+    benchmark::DoNotOptimize(data.data());
+    benchmark::ClobberMemory();
+  }
+  // Rows of this pass: the walk runs axes 2, 1, 0; pruned forward passes
+  // restrict the dims below the axis, pruned inverse passes those above.
+  double rows = 1.0;
+  for (std::size_t d = 0; d < 3; ++d) {
+    if (d == axis) continue;
+    const bool restricted = pruned && (dir == fft::Direction::kForward ? d < axis : d > axis);
+    rows *= static_cast<double>(restricted ? support[d].size() : m);
+  }
+  const double flops = rows * 5.0 * static_cast<double>(m) * std::log2(static_cast<double>(m));
+  state.counters["GFLOP/s"] = benchmark::Counter(flops * 1e-9, benchmark::Counter::kIsIterationInvariantRate);
+  state.SetLabel(std::string(dir == fft::Direction::kForward ? "fwd" : "inv") + " axis " +
+                 std::to_string(axis) + (pruned ? " pruned" : " full"));
+}
+BENCHMARK(BM_FftNdPass128)
+    ->ArgsProduct({{2, 1, 0}, {0, 1}, {0, 1}})
+    ->UseRealTime()
+    ->Unit(benchmark::kMillisecond);
 
 void BM_BesselI0(benchmark::State& state) {
   double x = 0.1;

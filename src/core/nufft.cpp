@@ -84,11 +84,6 @@ Nufft::Nufft(const GridDesc& g, const datasets::SampleSet& samples, const PlanCo
     pp_ = preprocess(g_, samples, cfg_, *pool_);
   }
 
-  std::vector<std::size_t> dims;
-  for (int d = 0; d < g.dim; ++d) dims.push_back(static_cast<std::size_t>(g.m[static_cast<std::size_t>(d)]));
-  fft_fwd_ = std::make_shared<fft::FftNd<float>>(dims, fft::Direction::kForward);
-  fft_inv_ = std::make_shared<fft::FftNd<float>>(dims, fft::Direction::kInverse);
-
   // Rolloff precompensation with the ±1 chop baked in per dimension:
   // scale[d][i] = (−1)^(i − N/2) / apodization(i − N/2).
   const auto kernel = kernels::make_kernel(cfg_.kernel, cfg_.kernel_radius, g.alpha);
@@ -123,6 +118,21 @@ Nufft::Nufft(const GridDesc& g, const datasets::SampleSet& samples, const PlanCo
     }
     scale_[static_cast<std::size_t>(d)] = std::move(s);
   }
+
+  // The FFTs prune to the image-support rows: the grid cells image_to_grid
+  // fills and grid_to_image reads, i.e. the sorted wrapped image indices.
+  std::vector<std::size_t> dims;
+  std::vector<std::vector<index_t>> support;
+  for (int d = 0; d < g.dim; ++d) {
+    const auto ds = static_cast<std::size_t>(d);
+    dims.push_back(static_cast<std::size_t>(g.m[ds]));
+    auto& rows = support.emplace_back();
+    for (std::size_t gidx = 0; gidx < inv_wrap_[ds].size(); ++gidx) {
+      if (inv_wrap_[ds][gidx] >= 0) rows.push_back(static_cast<index_t>(gidx));
+    }
+  }
+  fft_fwd_ = std::make_shared<fft::FftNd<float>>(dims, fft::Direction::kForward, support);
+  fft_inv_ = std::make_shared<fft::FftNd<float>>(dims, fft::Direction::kInverse, std::move(support));
 
   // The LUT lives in the plan for the whole lifetime; Horner plans fit their
   // piecewise polynomials alongside it (the LUT stays available for
@@ -623,7 +633,7 @@ void Nufft::forward(const cfloat* image, cfloat* raw, Workspace& ws, ThreadPool&
   t.reset();
   {
     obs::Span s("nufft.fft", "core");
-    fft_fwd_->transform(ws.grid.data(), pool);
+    fft_fwd_->transform_pruned(ws.grid.data(), pool);
   }
   ws.fwd_stats.fft_s = t.seconds();
 
@@ -659,7 +669,7 @@ void Nufft::adjoint(const cfloat* raw, cfloat* image, Workspace& ws, ThreadPool&
   t.reset();
   {
     obs::Span s("nufft.fft", "core");
-    fft_inv_->transform(ws.grid.data(), pool);
+    fft_inv_->transform_pruned(ws.grid.data(), pool);
   }
   ws.adj_stats.fft_s = t.seconds();
 

@@ -55,7 +55,10 @@ class BatchNufft;
 /// share buffers. Obtain via Nufft::make_workspace(); the struct is movable
 /// and plan-specific (buffer shapes follow the plan's grid and task list).
 struct Workspace {
-  cvecf grid;                        // oversampled grid, grid_elems() values
+  // Oversampled grid, grid_elems() values. After forward() it holds the full
+  // transform; after adjoint() the inverse transform only on the
+  // image-support cells grid_to_image reads (the pruned FFT skips the rest).
+  cvecf grid;
   std::vector<cvecf> private_bufs;   // one per privatized task (empty else)
   OperatorStats fwd_stats;
   OperatorStats adj_stats;
@@ -107,6 +110,9 @@ class Nufft {
   void forward(const cfloat* image, cfloat* raw, Workspace& ws, ThreadPool& pool) const;
 
   /// raw (sample values, caller order) → image (N^dim). Same contract.
+  /// Both directions run the FFT pruned to the image-support rows
+  /// (fft::FftNd::transform_pruned), bit-identical in their outputs to
+  /// image_to_grid/spread + the full FftNd transform + interp/grid_to_image.
   void adjoint(const cfloat* raw, cfloat* image, Workspace& ws, ThreadPool& pool) const;
 
   // --- convenience apply API (uses the plan-owned workspace and pool) ---
@@ -140,7 +146,9 @@ class Nufft {
   /// Forward convolution only: gather raw samples from the internal grid.
   void interp(cfloat* raw);
 
-  /// The internal oversampled grid (grid_desc().grid_elems() values).
+  /// The internal oversampled grid (grid_desc().grid_elems() values). Fully
+  /// defined after spread()/image_to_grid() and forward(); after adjoint()
+  /// only its image-support cells hold the inverse transform (see Workspace).
   cfloat* grid_data() { return ws_.grid.data(); }
   const cfloat* grid_data() const { return ws_.grid.data(); }
   void clear_grid();

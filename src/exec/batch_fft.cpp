@@ -1,98 +1,15 @@
 #include "exec/batch_fft.hpp"
 
-#include <algorithm>
-
 #include "common/error.hpp"
 #include "core/convolution_avx2.hpp"
-#include "exec/batch_fft_stages.hpp"
 #include "fft/fft1d.hpp"
-#include "fft/twiddle.hpp"
-#include "simd/vec4f.hpp"
 
 namespace nufft::exec {
 
-namespace {
-
 using fft::Direction;
-using simd::Vec4f;
 
-// Complex multiply of two packed (re, im) pairs by one twiddle held as
-// wr = splat(w.re) and wi = (−w.im, w.im, −w.im, w.im):
-//   x·w = x·wr + swap(x)·wi.
-inline Vec4f cmul(Vec4f x, Vec4f wr, Vec4f wi) { return x * wr + x.swap_pairs() * wi; }
-
-inline Vec4f wi_pattern(float im) { return Vec4f(-im, im, -im, im); }
-
-// One radix-2 Stockham stage over column-interleaved rows. `sc` is the
-// sub-transform stride in complex elements (s · cols); the q loop covers the
-// sc interleaved columns two complex at a time — cols must be even.
-void stage2_cols(const cfloat* src, cfloat* dst, std::size_t nn, std::size_t sc,
-                 const cfloat* tw) {
-  const std::size_t m = nn / 2;
-  for (std::size_t p = 0; p < m; ++p) {
-    const cfloat w = tw[p];
-    const Vec4f wr(w.real());
-    const Vec4f wi = wi_pattern(w.imag());
-    const auto* a = reinterpret_cast<const float*>(src + sc * p);
-    const auto* b = reinterpret_cast<const float*>(src + sc * (p + m));
-    auto* lo = reinterpret_cast<float*>(dst + sc * (2 * p));
-    auto* hi = reinterpret_cast<float*>(dst + sc * (2 * p + 1));
-    const std::size_t nf = 2 * sc;
-    for (std::size_t q = 0; q < nf; q += 4) {
-      const Vec4f u = Vec4f::loadu(a + q);
-      const Vec4f v = Vec4f::loadu(b + q);
-      (u + v).storeu(lo + q);
-      cmul(u - v, wr, wi).storeu(hi + q);
-    }
-  }
-}
-
-// One radix-4 Stockham stage over column-interleaved rows; mirrors
-// fft1d.cpp's stockham_stage4 with the stride scaled by the column count.
-void stage4_cols(const cfloat* src, cfloat* dst, std::size_t nn, std::size_t sc,
-                 const cfloat* tw, int sign) {
-  const std::size_t m = nn / 4;
-  const Vec4f jpat = sign < 0 ? Vec4f(1.0f, -1.0f, 1.0f, -1.0f) : Vec4f(-1.0f, 1.0f, -1.0f, 1.0f);
-  for (std::size_t p = 0; p < m; ++p) {
-    const cfloat w1 = tw[p];
-    const cfloat w2 = w1 * w1;
-    const cfloat w3 = w2 * w1;
-    const Vec4f w1r(w1.real()), w1i = wi_pattern(w1.imag());
-    const Vec4f w2r(w2.real()), w2i = wi_pattern(w2.imag());
-    const Vec4f w3r(w3.real()), w3i = wi_pattern(w3.imag());
-    const auto* a = reinterpret_cast<const float*>(src + sc * p);
-    const auto* b = reinterpret_cast<const float*>(src + sc * (p + m));
-    const auto* c = reinterpret_cast<const float*>(src + sc * (p + 2 * m));
-    const auto* d = reinterpret_cast<const float*>(src + sc * (p + 3 * m));
-    auto* y0 = reinterpret_cast<float*>(dst + sc * (4 * p));
-    auto* y1 = reinterpret_cast<float*>(dst + sc * (4 * p + 1));
-    auto* y2 = reinterpret_cast<float*>(dst + sc * (4 * p + 2));
-    auto* y3 = reinterpret_cast<float*>(dst + sc * (4 * p + 3));
-    const std::size_t nf = 2 * sc;
-    for (std::size_t q = 0; q < nf; q += 4) {
-      const Vec4f A = Vec4f::loadu(a + q);
-      const Vec4f B = Vec4f::loadu(b + q);
-      const Vec4f C = Vec4f::loadu(c + q);
-      const Vec4f D = Vec4f::loadu(d + q);
-      const Vec4f apc = A + C;
-      const Vec4f amc = A - C;
-      const Vec4f bpd = B + D;
-      const Vec4f bmd = B - D;
-      const Vec4f jb = bmd.swap_pairs() * jpat;  // sign·i·(b−d)
-      (apc + bpd).storeu(y0 + q);
-      cmul(amc + jb, w1r, w1i).storeu(y1 + q);
-      cmul(apc - bpd, w2r, w2i).storeu(y2 + q);
-      cmul(amc - jb, w3r, w3i).storeu(y3 + q);
-    }
-  }
-}
-
-}  // namespace
-
-BatchFft::BatchFft(const GridDesc& g, std::array<std::vector<index_t>, 3> corner_rows,
-                   const fft::FftNd<float>& fwd, const fft::FftNd<float>& inv)
-    : g_(g), corner_(std::move(corner_rows)), fwd_(&fwd), inv_(&inv),
-      avx2_(avx2_available()) {
+BatchFft::BatchFft(const GridDesc& g, const fft::FftNd<float>& fwd, const fft::FftNd<float>& inv)
+    : g_(g), fwd_(&fwd), inv_(&inv), avx2_(avx2_available()) {
   st_ = g_.grid_strides();
   slab_elems_ = g_.grid_elems();
   for (int d = 0; d < g_.dim; ++d) {
@@ -100,70 +17,55 @@ BatchFft::BatchFft(const GridDesc& g, std::array<std::vector<index_t>, 3> corner
     const auto m = static_cast<std::size_t>(g_.m[ds]);
     full_[ds].resize(m);
     for (std::size_t i = 0; i < m; ++i) full_[ds][i] = static_cast<index_t>(i);
-    pow2_[ds] = fft::is_pow2(m);
-    if (!pow2_[ds]) continue;
-    // Rebuild Fft1d's stage plan (radix-4 stages, one trailing radix-2) so
-    // the batched stages consume the same per-stage twiddle values.
-    for (auto [stages, sign] : {std::pair{&stages_fwd_[ds], -1}, std::pair{&stages_inv_[ds], +1}}) {
-      for (std::size_t nn = m; nn > 1;) {
-        if (nn % 4 == 0) {
-          stages->tw.push_back(fft::make_twiddles<float>(nn / 4, nn, sign));
-          stages->radix.push_back(4);
-          nn /= 4;
-        } else {
-          stages->tw.push_back(fft::make_twiddles<float>(nn / 2, nn, sign));
-          stages->radix.push_back(2);
-          nn /= 2;
-        }
-      }
-    }
+    all_pow2_ = all_pow2_ && fft::is_pow2(m);
   }
 }
 
 void BatchFft::transform(cfloat* slabs, index_t nb, Direction dir, ThreadPool& pool,
                          bool batched_stages) const {
   NUFFT_CHECK(nb >= 1);
+  if (!batched_stages || !all_pow2_ || nb < 2) {
+    // The single-RHS path's own FFT, slab by slab: bitwise equal to Nufft.
+    const fft::FftNd<float>& plan = dir == Direction::kForward ? *fwd_ : *inv_;
+    for (index_t b = 0; b < nb; ++b) plan.transform_pruned(slabs + b * slab_elems_, pool);
+    return;
+  }
   // The prunable rows are always the ones whose *untransformed* (forward)
   // or *already-transformed* (adjoint) coordinates are corner-confined, so
   // the traversal order decides which axes get the pruning. The adjoint
   // wants the FftNd order (contiguous axis first): its full pass lands on
   // the cheap in-place axis and the ¼ pass on the expensive strided axis 0.
   // For the forward that order is pessimal — the strided axis would run
-  // unpruned — so the batched path traverses ascending instead, which hands
-  // it the mirror-image (optimal) distribution. The scalar path keeps the
-  // FftNd order for bitwise equality with the single-transform pipeline.
-  const bool ascending = batched_stages && dir == Direction::kForward;
-  if (ascending) {
+  // unpruned — so the forward traverses ascending instead, which hands it
+  // the mirror-image (optimal) distribution.
+  if (dir == Direction::kForward) {
     for (std::size_t a = 0; a < static_cast<std::size_t>(g_.dim); ++a) {
-      axis_pass(slabs, nb, a, dir, pool, batched_stages, /*restrict_above=*/true);
+      axis_pass(slabs, nb, a, dir, pool);
     }
   } else {
     for (std::size_t a = static_cast<std::size_t>(g_.dim); a-- > 0;) {
-      axis_pass(slabs, nb, a, dir, pool, batched_stages,
-                /*restrict_above=*/dir == Direction::kInverse);
+      axis_pass(slabs, nb, a, dir, pool);
     }
   }
 }
 
 void BatchFft::axis_pass(cfloat* slabs, index_t nb, std::size_t axis, Direction dir,
-                         ThreadPool& pool, bool batched_stages, bool restrict_above) const {
+                         ThreadPool& pool) const {
   const std::size_t len = static_cast<std::size_t>(g_.m[axis]);
   if (len == 1) return;
   const int dim = g_.dim;
 
-  // Row coordinate lists for the non-transform dims. `restrict_above`
-  // selects which side of the axis is corner-confined: the dims the
-  // traversal has not reached yet (forward: still zero outside the corners)
-  // or the dims it has finished (adjoint: non-corner outputs never read).
+  // Row coordinate lists for the non-transform dims. The dims above the
+  // axis are corner-confined: in the ascending forward walk they are not
+  // transformed yet (still zero outside the corners), in the descending
+  // adjoint walk they are finished (non-corner outputs never read).
   const std::vector<index_t>* lists[2] = {nullptr, nullptr};
   index_t lstrides[2] = {0, 0};
   int nlists = 0;
   for (int d = 0; d < dim; ++d) {
     if (d == static_cast<int>(axis)) continue;
     const auto ds = static_cast<std::size_t>(d);
-    const bool restricted =
-        restrict_above ? d > static_cast<int>(axis) : d < static_cast<int>(axis);
-    lists[nlists] = restricted ? &corner_[ds] : &full_[ds];
+    lists[nlists] = d > static_cast<int>(axis) ? &fwd_->support(ds) : &full_[ds];
     lstrides[nlists] = st_[ds];
     ++nlists;
   }
@@ -171,7 +73,6 @@ void BatchFft::axis_pass(cfloat* slabs, index_t nb, std::size_t axis, Direction 
   for (int i = 0; i < nlists; ++i) nrows *= static_cast<index_t>(lists[i]->size());
   const index_t inner2 = nlists == 2 ? static_cast<index_t>(lists[1]->size()) : 1;
   const index_t ax_st = st_[axis];
-  const index_t chunk = nrows / (static_cast<index_t>(pool.size()) * 8) + 1;
 
   auto row_base = [&](index_t r) {
     index_t base = 0;
@@ -184,39 +85,8 @@ void BatchFft::axis_pass(cfloat* slabs, index_t nb, std::size_t axis, Direction 
     return base;
   };
 
-  const bool use_batched = batched_stages && pow2_[axis] && nb >= 2;
-  if (!use_batched) {
-    // Per-row path through the plan's own Fft1d — bit-identical to the
-    // single-transform FftNd walk over the same rows.
-    const fft::Fft1d<float>& plan =
-        (dir == Direction::kForward ? fwd_ : inv_)->axis_plan(axis);
-    const std::size_t ssz = plan.scratch_size();
-    std::vector<aligned_vector<cfloat>> scratch(static_cast<std::size_t>(pool.size()));
-    pool.parallel_for_tid(nrows, chunk, [&](int tid, index_t rb, index_t re) {
-      auto& buf = scratch[static_cast<std::size_t>(tid)];
-      if (buf.size() < len + ssz) buf.resize(len + ssz);
-      cfloat* row = buf.data();
-      cfloat* fs = buf.data() + len;
-      for (index_t r = rb; r < re; ++r) {
-        const index_t base = row_base(r);
-        for (index_t b = 0; b < nb; ++b) {
-          cfloat* p = slabs + static_cast<std::size_t>(b) * static_cast<std::size_t>(slab_elems_) + base;
-          if (ax_st == 1) {
-            plan.transform(p, p, fs);
-          } else {
-            for (std::size_t k = 0; k < len; ++k) row[k] = p[static_cast<index_t>(k) * ax_st];
-            plan.transform(row, row, fs);
-            for (std::size_t k = 0; k < len; ++k) p[static_cast<index_t>(k) * ax_st] = row[k];
-          }
-        }
-      }
-    });
-    return;
-  }
-
-  const AxisStages& stg =
-      (dir == Direction::kForward ? stages_fwd_ : stages_inv_)[axis];
-  const int sign = static_cast<int>(dir);
+  const fft::Fft1d<float>& plan =
+      (dir == Direction::kForward ? fwd_ : inv_)->axis_plan(axis);
   // AVX2 stages consume 4 complex columns per 256-bit op, SSE stages 2;
   // pad the column count (zeroed pad columns) to the vector width.
   const std::size_t colpad = avx2_ ? 3 : 1;
@@ -283,31 +153,7 @@ void BatchFft::axis_pass(cfloat* slabs, index_t nb, std::size_t axis, Direction 
       for (std::size_t pad = blk * static_cast<std::size_t>(nb); pad < cols; ++pad) {
         for (std::size_t k = 0; k < len; ++k) cur[k * cols + pad] = cfloat(0.0f, 0.0f);
       }
-      // Stages ping-pong cur ↔ alt; stride starts at `cols` (one element of
-      // every column between consecutive sub-transform elements).
-      std::size_t nn = len;
-      std::size_t sc = cols;
-      for (std::size_t st_i = 0; st_i < stg.radix.size(); ++st_i) {
-        const cfloat* tw = stg.tw[st_i].data();
-        if (stg.radix[st_i] == 4) {
-          if (avx2_) {
-            stage4_cols_avx2(cur, alt, nn, sc, tw, sign);
-          } else {
-            stage4_cols(cur, alt, nn, sc, tw, sign);
-          }
-          nn /= 4;
-          sc *= 4;
-        } else {
-          if (avx2_) {
-            stage2_cols_avx2(cur, alt, nn, sc, tw);
-          } else {
-            stage2_cols(cur, alt, nn, sc, tw);
-          }
-          nn /= 2;
-          sc *= 2;
-        }
-        std::swap(cur, alt);
-      }
+      cur = plan.transform_columns(cur, alt, cols, avx2_);
       // Scatter the transformed rows back.
       for (index_t b = 0; b < nb; ++b) {
         cfloat* p =

@@ -30,22 +30,6 @@ inline index_t wrap_coord(index_t v, index_t m) {
   return v;
 }
 
-// The grid rows that carry image content along each dim: the sorted set of
-// wrapped image indices (the zero-pad corners of the oversampled grid).
-std::array<std::vector<index_t>, 3> corner_rows(const GridDesc& g,
-                                                const std::array<std::vector<index_t>, 3>& wrap) {
-  std::array<std::vector<index_t>, 3> corners;
-  for (int d = 0; d < g.dim; ++d) {
-    const auto ds = static_cast<std::size_t>(d);
-    std::vector<char> mark(static_cast<std::size_t>(g.m[ds]), 0);
-    for (const index_t v : wrap[ds]) mark[static_cast<std::size_t>(v)] = 1;
-    for (std::size_t i = 0; i < mark.size(); ++i) {
-      if (mark[i]) corners[ds].push_back(static_cast<index_t>(i));
-    }
-  }
-  return corners;
-}
-
 template <class F1, class F2, class F3>
 void dim_dispatch(int dim, F1&& f1, F2&& f2, F3&& f3) {
   switch (dim) {
@@ -70,8 +54,7 @@ BatchNufft::BatchNufft(const Nufft& plan, index_t max_batch)
       capacity_(std::min<index_t>(std::max<index_t>(max_batch, 1), kMaxBatch)),
       slab_elems_(static_cast<std::size_t>(plan.grid_desc().grid_elems())),
       conv_mode_(plan.conv_mode()),
-      bfft_(plan.grid_desc(), corner_rows(plan.grid_desc(), plan.wrap_), *plan.fft_fwd_,
-            *plan.fft_inv_) {
+      bfft_(plan.grid_desc(), *plan.fft_fwd_, *plan.fft_inv_) {
   // The slabs are the irreducible working set — without them there is no
   // batched apply at all, so this allocation failure propagates.
   slabs_.resize(static_cast<std::size_t>(capacity_) * slab_elems_);

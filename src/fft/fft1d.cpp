@@ -1,10 +1,12 @@
 #include "fft/fft1d.hpp"
 
 #include <cstring>
+#include <type_traits>
 #include <utility>
 
 #include "common/error.hpp"
 #include "fft/bluestein.hpp"
+#include "fft/column_stages.hpp"
 #include "fft/twiddle.hpp"
 
 namespace nufft::fft {
@@ -174,6 +176,37 @@ void Fft1d<T>::transform(const std::complex<T>* in, std::complex<T>* out,
     src = dst;
   }
   if (copy_back) std::memcpy(out, src, n_ * sizeof(std::complex<T>));
+}
+
+template <class T>
+std::complex<T>* Fft1d<T>::transform_columns(std::complex<T>* buf, std::complex<T>* alt,
+                                             std::size_t cols, bool avx2_fma) const {
+  NUFFT_CHECK(impl_->bluestein == nullptr);
+  const int sign = static_cast<int>(dir_);
+  std::size_t nn = n_;
+  std::size_t sc = cols;
+  for (std::size_t st = 0; st < impl_->stage_radix.size(); ++st) {
+    const std::complex<T>* tw = impl_->stage_tw[st].data();
+    const bool radix4 = impl_->stage_radix[st] == 4;
+    if constexpr (std::is_same_v<T, float>) {
+      if (radix4) {
+        (avx2_fma ? stage4_cols_avx2 : stage4_cols)(buf, alt, nn, sc, tw, sign);
+      } else {
+        (avx2_fma ? stage2_cols_avx2 : stage2_cols)(buf, alt, nn, sc, tw);
+      }
+    } else {
+      NUFFT_CHECK(!avx2_fma);
+      if (radix4) {
+        stockham_stage4(buf, alt, nn, sc, tw, sign);
+      } else {
+        stockham_stage(buf, alt, nn, sc, tw);
+      }
+    }
+    nn /= static_cast<std::size_t>(impl_->stage_radix[st]);
+    sc *= static_cast<std::size_t>(impl_->stage_radix[st]);
+    std::swap(buf, alt);
+  }
+  return buf;
 }
 
 template <class T>

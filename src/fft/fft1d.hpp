@@ -52,6 +52,16 @@ class Fft1d {
   void transform(const std::complex<T>* in, std::complex<T>* out,
                  std::complex<T>* scratch) const;
 
+  /// Transform `cols` rows at once, stored element-interleaved: element k of
+  /// row c at buf[k·cols + c] (fft/column_stages.hpp). Power-of-two plans
+  /// only. The stages ping-pong between `buf` and `alt` (both n·cols
+  /// elements); the return value is whichever holds the result. Each row's
+  /// result is bit-identical to transform() on that row, except with
+  /// `avx2_fma` (float only, cols a multiple of 4, CPU must support AVX2 and
+  /// FMA), whose fused stages round differently. float needs an even `cols`.
+  std::complex<T>* transform_columns(std::complex<T>* buf, std::complex<T>* alt,
+                                     std::size_t cols, bool avx2_fma = false) const;
+
   /// Convenience in-place transform using internally allocated scratch
   /// (not safe for concurrent calls on the same plan).
   void transform_inplace(std::complex<T>* data);

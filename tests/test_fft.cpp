@@ -2,10 +2,13 @@
 // Bluestein arbitrary-length path, multi-dimensional row-column transform.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <complex>
+#include <cstring>
 #include <vector>
 
+#include "common/error.hpp"
 #include "common/rng.hpp"
 #include "common/types.hpp"
 #include "fft/fft1d.hpp"
@@ -296,6 +299,180 @@ TEST(FftNd, OneDimensionalDegenerateCase) {
   aligned_vector<cdouble> data = sig;
   plan.transform(data.data());
   EXPECT_LT(rel_err_vs(data.data(), naive_dft(sig.data(), n, -1)), 1e-12);
+}
+
+// ---- column-blocked and pruned passes ----
+
+// The row-column walk done the slow way: every row of every axis (last axis
+// first, as FftNd walks them) gathered and run through Fft1d::transform.
+template <class T>
+void per_row_reference(const std::vector<std::size_t>& dims, Direction dir,
+                       std::complex<T>* data) {
+  std::size_t total = 1;
+  for (const std::size_t d : dims) total *= d;
+  for (std::size_t a = dims.size(); a-- > 0;) {
+    const std::size_t len = dims[a];
+    std::size_t inner = 1;
+    for (std::size_t b = a + 1; b < dims.size(); ++b) inner *= dims[b];
+    const Fft1d<T> plan(len, dir);
+    aligned_vector<std::complex<T>> row(len), fs(plan.scratch_size());
+    for (std::size_t o = 0; o < total / (len * inner); ++o) {
+      for (std::size_t i = 0; i < inner; ++i) {
+        std::complex<T>* base = data + o * len * inner + i;
+        for (std::size_t k = 0; k < len; ++k) row[k] = base[k * inner];
+        plan.transform(row.data(), row.data(), fs.data());
+        for (std::size_t k = 0; k < len; ++k) base[k * inner] = row[k];
+      }
+    }
+  }
+}
+
+std::size_t total_of(const std::vector<std::size_t>& dims) {
+  std::size_t t = 1;
+  for (const std::size_t d : dims) t *= d;
+  return t;
+}
+
+// Run `body(dir, pool)` for both directions and pool widths 1/2/4, so one
+// test body covers every combination.
+template <class Body>
+void for_both_directions_and_pools(Body&& body) {
+  for (const Direction dir : {Direction::kForward, Direction::kInverse}) {
+    for (const int threads : {1, 2, 4}) {
+      ThreadPool pool(threads);
+      SCOPED_TRACE(::testing::Message() << (dir == Direction::kForward ? "forward" : "inverse")
+                                        << " threads=" << threads);
+      body(dir, pool);
+    }
+  }
+}
+
+template <class T>
+void expect_blocked_matches_rows(const std::vector<std::size_t>& dims) {
+  const auto sig = random_signal<T>(total_of(dims), 31);
+  for_both_directions_and_pools([&](Direction dir, ThreadPool& pool) {
+    aligned_vector<std::complex<T>> want = sig;
+    per_row_reference(dims, dir, want.data());
+    aligned_vector<std::complex<T>> got = sig;
+    FftNd<T>(dims, dir).transform(got.data(), pool);
+    EXPECT_EQ(std::memcmp(got.data(), want.data(), got.size() * sizeof(std::complex<T>)), 0);
+  });
+}
+
+TEST(FftNdBlocked, OneDimensional) {
+  expect_blocked_matches_rows<float>({64});
+  expect_blocked_matches_rows<double>({64});
+}
+
+TEST(FftNdBlocked, TwoDimensional) {
+  expect_blocked_matches_rows<float>({32, 64});
+  expect_blocked_matches_rows<double>({32, 64});
+}
+
+TEST(FftNdBlocked, ThreeDimensional) {
+  expect_blocked_matches_rows<float>({16, 16, 16});
+  expect_blocked_matches_rows<double>({16, 16, 16});
+}
+
+TEST(FftNdBlocked, Anisotropic) {
+  expect_blocked_matches_rows<float>({8, 64, 2});
+  expect_blocked_matches_rows<float>({2, 4, 128});
+}
+
+TEST(FftNdBlocked, BlockTailsNotAMultipleOfEight) {
+  // Blocks of 8 rows leave tails of 4 (20 = 8 + 8 + 4) and, for the float
+  // path's even column count, an odd tail of 5 padded with a zero column.
+  expect_blocked_matches_rows<float>({12, 20, 24});
+  expect_blocked_matches_rows<float>({20, 16});
+  expect_blocked_matches_rows<float>({16, 32, 13});
+  expect_blocked_matches_rows<double>({16, 32, 13});
+}
+
+TEST(FftNdBlocked, BluesteinAxis) {
+  // The middle axis (12) runs row by row through Bluestein; the
+  // power-of-two axes around it block along it and along the last axis.
+  expect_blocked_matches_rows<float>({16, 12, 32});
+}
+
+// The NUFFT's support: per dimension the wrapped image indices of an n-wide
+// image on an m-point grid, [0, n − n/2) ∪ [m − n/2, m). For odd n the two
+// corner runs differ in length.
+std::vector<std::vector<index_t>> corner_support(const std::vector<std::size_t>& m,
+                                                 const std::vector<std::size_t>& n) {
+  std::vector<std::vector<index_t>> s(m.size());
+  for (std::size_t d = 0; d < m.size(); ++d) {
+    const auto md = static_cast<index_t>(m[d]);
+    const auto nd = static_cast<index_t>(n[d]);
+    for (index_t i = 0; i < nd - nd / 2; ++i) s[d].push_back(i);
+    for (index_t i = md - nd / 2; i < md; ++i) s[d].push_back(i);
+  }
+  return s;
+}
+
+bool in_support(std::size_t flat, const std::vector<std::size_t>& dims,
+                const std::vector<std::vector<index_t>>& support) {
+  for (std::size_t d = dims.size(); d-- > 0;) {
+    const auto c = static_cast<index_t>(flat % dims[d]);
+    flat /= dims[d];
+    const auto& rows = support[d];
+    if (!std::binary_search(rows.begin(), rows.end(), c)) return false;
+  }
+  return true;
+}
+
+void expect_pruned_matches_full(const std::vector<std::size_t>& dims,
+                                const std::vector<std::size_t>& image) {
+  const auto support = corner_support(dims, image);
+  const auto sig = random_signal<float>(total_of(dims), 37);
+  for_both_directions_and_pools([&](Direction dir, ThreadPool& pool) {
+    const FftNd<float> plan(dims, dir, support);
+    aligned_vector<cfloat> input = sig;
+    if (dir == Direction::kForward) {
+      // The forward contract: the input is zero outside the support box.
+      for (std::size_t i = 0; i < input.size(); ++i) {
+        if (!in_support(i, dims, support)) input[i] = cfloat(0.0f, 0.0f);
+      }
+    }
+    aligned_vector<cfloat> full = input;
+    plan.transform(full.data(), pool);
+    aligned_vector<cfloat> pruned = input;
+    plan.transform_pruned(pruned.data(), pool);
+    std::size_t checked = 0;
+    for (std::size_t i = 0; i < full.size(); ++i) {
+      // Forward: every cell; inverse: the support cells only.
+      if (dir == Direction::kInverse && !in_support(i, dims, support)) continue;
+      ASSERT_EQ(pruned[i], full[i]) << "cell " << i;
+      ++checked;
+    }
+    EXPECT_GT(checked, 0u);
+  });
+}
+
+TEST(FftNdPruned, MatchesFullOnSupportCells) {
+  expect_pruned_matches_full({64}, {21});
+  expect_pruned_matches_full({32, 16}, {16, 8});
+  expect_pruned_matches_full({32, 16}, {13, 7});
+  expect_pruned_matches_full({16, 32, 16}, {8, 16, 8});
+  expect_pruned_matches_full({16, 24, 32}, {7, 11, 15});
+}
+
+TEST(FftNdPruned, FullSupportIsTheFullTransform) {
+  const std::vector<std::size_t> dims{8, 16, 32};
+  const auto sig = random_signal<float>(total_of(dims), 41);
+  for_both_directions_and_pools([&](Direction dir, ThreadPool& pool) {
+    const FftNd<float> plan(dims, dir);
+    aligned_vector<cfloat> full = sig;
+    plan.transform(full.data(), pool);
+    aligned_vector<cfloat> pruned = sig;
+    plan.transform_pruned(pruned.data(), pool);
+    EXPECT_EQ(std::memcmp(full.data(), pruned.data(), full.size() * sizeof(cfloat)), 0);
+  });
+}
+
+TEST(FftNdPruned, RejectsMalformedSupport) {
+  EXPECT_THROW(FftNd<float>({8, 8}, Direction::kForward, {{0, 1}}), Error);
+  EXPECT_THROW(FftNd<float>({8, 8}, Direction::kForward, {{0, 1}, {3, 2}}), Error);
+  EXPECT_THROW(FftNd<float>({8, 8}, Direction::kForward, {{0, 8}, {0}}), Error);
 }
 
 }  // namespace

@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
 #include <limits>
 #include <tuple>
 
@@ -11,6 +12,7 @@
 #include "common/error.hpp"
 #include "core/nufft.hpp"
 #include "datasets/trajectory.hpp"
+#include "fft/fftnd.hpp"
 #include "test_util.hpp"
 
 namespace nufft {
@@ -136,6 +138,46 @@ INSTANTIATE_TEST_SUITE_P(Sweep, NufftAdjointness,
                            return "d" + std::to_string(std::get<0>(info.param)) + "_" +
                                   datasets::trajectory_name(std::get<1>(info.param));
                          });
+
+// The pruned FFT inside forward/adjoint must not move a bit relative to the
+// public component composition with the full transform.
+TEST(NufftComponents, PrunedApplyMatchesFullTransformComposition) {
+  struct Case {
+    int dim;
+    index_t n;
+  };
+  // Power-of-two grids take the column-blocked passes; N = 21 gives odd
+  // corner runs (11 + 10) on a Bluestein-length grid (m = 42).
+  for (const Case c : {Case{1, 48}, Case{2, 32}, Case{2, 21}, Case{3, 12}, Case{3, 16}}) {
+    SCOPED_TRACE(::testing::Message() << "dim=" << c.dim << " N=" << c.n);
+    const GridDesc g = make_grid(c.dim, c.n, 2.0);
+    const auto set = testing::small_trajectory(TrajectoryType::kRadial, c.dim, c.n, 600);
+    PlanConfig cfg;
+    cfg.threads = 3;
+    Nufft plan(g, set, cfg);
+    std::vector<std::size_t> dims;
+    for (int d = 0; d < c.dim; ++d) dims.push_back(static_cast<std::size_t>(g.m[static_cast<std::size_t>(d)]));
+    const fft::FftNd<float> full_fwd(dims, fft::Direction::kForward);
+    const fft::FftNd<float> full_inv(dims, fft::Direction::kInverse);
+
+    const cvecf img = testing::random_image(g.image_elems(), 51);
+    const auto K = static_cast<std::size_t>(set.count());
+    cvecf raw(K), raw_ref(K);
+    plan.forward(img.data(), raw.data());
+    plan.image_to_grid(img.data());
+    full_fwd.transform(plan.grid_data(), plan.pool());
+    plan.interp(raw_ref.data());
+    EXPECT_EQ(std::memcmp(raw.data(), raw_ref.data(), K * sizeof(cfloat)), 0);
+
+    const auto I = static_cast<std::size_t>(g.image_elems());
+    cvecf back(I), back_ref(I);
+    plan.adjoint(raw.data(), back.data());
+    plan.spread(raw.data());
+    full_inv.transform(plan.grid_data(), plan.pool());
+    plan.grid_to_image(back_ref.data());
+    EXPECT_EQ(std::memcmp(back.data(), back_ref.data(), I * sizeof(cfloat)), 0);
+  }
+}
 
 // Determinism and configuration equivalence.
 

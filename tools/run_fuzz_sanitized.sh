@@ -3,6 +3,8 @@
 # wire-protocol fuzz and the streaming trajectory-delta battery), the
 # tolerance-contract harness (`ctest -L accuracy`),
 # the parallel-preprocessing suite (`ctest -L preproc`),
+# the FFT substrate suite (`ctest -L fft`, the padded gather/scatter tails of
+# the column-blocked and pruned FftNd passes),
 # the convolution-dispatch suite (`ctest -L dispatch`, the specialized-vs-
 # generic bit-match matrix and the boundary-coordinate trim sweep),
 # the streaming plan-update suite (`ctest -L streaming`, the warm-vs-cold
@@ -43,10 +45,10 @@ for san in "${sanitizers[@]}"; do
     -DNUFFT_SANITIZE="${san}" -DNUFFT_FAULT_INJECT=ON \
     -DNUFFT_BUILD_BENCH=OFF -DNUFFT_BUILD_EXAMPLES=OFF >/dev/null
   cmake --build "${build}" -j --target nufft_fuzz_tests --target nufft_accuracy_tests \
-    --target nufft_preproc_tests --target nufft_dispatch_tests \
+    --target nufft_fft_tests --target nufft_preproc_tests --target nufft_dispatch_tests \
     --target nufft_streaming_tests --target nufft_serve_tests --target nufft_chaos_tests
-  echo "=== ${san} sanitizer: ctest -L 'fuzz|accuracy|preproc|dispatch|streaming|serve|chaos' ==="
-  (cd "${build}" && ctest -L 'fuzz|accuracy|preproc|dispatch|streaming|serve|chaos' --output-on-failure)
+  echo "=== ${san} sanitizer: ctest -L 'fuzz|accuracy|fft|preproc|dispatch|streaming|serve|chaos' ==="
+  (cd "${build}" && ctest -L 'fuzz|accuracy|fft|preproc|dispatch|streaming|serve|chaos' --output-on-failure)
 done
 
-echo "All sanitized fuzz + accuracy + preproc + dispatch + streaming + serve + chaos runs passed."
+echo "All sanitized fuzz + accuracy + fft + preproc + dispatch + streaming + serve + chaos runs passed."
