@@ -4,11 +4,12 @@
 // specializations of the same loop (core/conv_variants.hpp): the constexpr-W
 // scalar variant and the AVX2 row evaluator that computes the whole weight
 // row from one shared abscissa, 8 segments per instruction
-// (kernels/horner_avx2.cpp). The second half times full forward/adjoint
-// executions with the registry enabled and disabled (PlanConfig
-// specialize_conv) on the LUT and Horner configurations; results go to
-// BENCH_abla_horner.json (window rows "w4".."w8", pipeline rows
-// "<kernel>.d<dim>").
+// (kernels/horner_avx2.cpp). The second half times the bound constexpr-W
+// variant against the runtime-width entry of the same (backend, dim,
+// evaluator) — the whole sample loop, called directly over a plan's task
+// ranges on one thread, at nb = 1 and nb = 4 slabs — on the LUT and Horner
+// configurations; results go to BENCH_abla_horner.json (window rows
+// "w4".."w8", loop rows "<eval>.d<dim>.nb<nb>").
 //
 // This TU is deliberately compiled at the baseline ISA (see
 // core/conv_variants.hpp rule 2): including the variant templates from an
@@ -16,11 +17,13 @@
 // and measure a loop the library never runs.
 #include <cstdio>
 #include <string>
+#include <vector>
 
 #include "common.hpp"
 #include "core/conv_variants.hpp"
 #include "core/convolution.hpp"
 #include "core/convolution_avx2.hpp"
+#include "core/nufft.hpp"
 #include "kernels/es_kernel.hpp"
 #include "kernels/horner.hpp"
 #include "kernels/lut.hpp"
@@ -113,49 +116,73 @@ int main() {
                 {"lut_vs_avx2_gain", avx2 ? t_lut / t_avx2 : 0.0}});
   }
 
-  // Full pipeline: the registry on versus the generic loop, on the two
-  // calibrated evaluator pairings (KB+LUT, ES+Horner), dims 2 and 3.
-  std::printf("\n%-12s %12s %12s %8s %12s %12s %8s\n", "shape", "fwd spec", "fwd gen", "gain",
-              "adj spec", "adj gen", "gain");
+  // The sample loop: constexpr-W variant versus the runtime-width entry, on
+  // the two calibrated evaluator pairings (KB+LUT, ES+Horner), dims 2 and 3.
+  std::printf("\n%-14s %12s %12s %8s %12s %12s %8s\n", "loop", "interp W", "interp any",
+              "gain", "spread W", "spread any", "gain");
   for (const int dim : {2, 3}) {
     const auto dset = make_set(datasets::TrajectoryType::kRandom, row, dim);
     const GridDesc dg = make_grid(dim, row.n, 2.0);
-    const cvecf img = random_values(dg.image_elems(), 1);
-    const cvecf raw = random_values(dset.count(), 2);
-    cvecf out_raw(raw.size());
-    cvecf out_img(img.size());
+    const auto st = dg.grid_strides();
+    const auto slab = static_cast<std::size_t>(dg.grid_elems());
     for (const bool use_horner : {false, true}) {
-      PlanConfig cfg = optimized_config(bench_threads());
+      PlanConfig cfg = optimized_config(1);
       cfg.isa = SimdIsa::kAuto;
       if (use_horner) {
         cfg.kernel = kernels::KernelType::kEs;
         cfg.eval = kernels::KernelEval::kHorner;
       }
-      PlanConfig gen_cfg = cfg;
-      gen_cfg.specialize_conv = false;
-      Nufft spec(dg, dset, cfg);
-      Nufft generic(dg, dset, gen_cfg);
-      const double fwd_spec =
-          time_call([&] { spec.forward(img.data(), out_raw.data()); });
-      const double fwd_gen =
-          time_call([&] { generic.forward(img.data(), out_raw.data()); });
-      const double adj_spec =
-          time_call([&] { spec.adjoint(raw.data(), out_img.data()); });
-      const double adj_gen =
-          time_call([&] { generic.adjoint(raw.data(), out_img.data()); });
-      const std::string label =
-          std::string(use_horner ? "horner" : "lut") + ".d" + std::to_string(dim);
-      std::printf("%-12s %12.4f %12.4f %7.2fx %12.4f %12.4f %7.2fx\n", label.c_str(), fwd_spec,
-                  fwd_gen, fwd_gen / fwd_spec, adj_spec, adj_gen, adj_gen / adj_spec);
-      report.add(label, {{"dim", static_cast<double>(dim)},
-                         {"horner", use_horner ? 1.0 : 0.0},
-                         {"specialized", spec.plan_stats().conv_specialized ? 1.0 : 0.0},
-                         {"forward_spec_s", fwd_spec},
-                         {"forward_generic_s", fwd_gen},
-                         {"forward_gain", fwd_gen / fwd_spec},
-                         {"adjoint_spec_s", adj_spec},
-                         {"adjoint_generic_s", adj_gen},
-                         {"adjoint_gain", adj_gen / adj_spec}});
+      const Nufft plan(dg, dset, cfg);
+      const ConvVariant& spec = plan.conv_variant();
+      ConvVariantKey runtime_key = spec.key;
+      runtime_key.width2 = 0;
+      const ConvVariant& runtime = *ConvDispatch::instance().find(runtime_key);
+      for (const index_t nb : {index_t{1}, index_t{4}}) {
+        const cvecf grids = random_values(nb * dg.grid_elems(), 1);
+        const cvecf raws = random_values(nb * dset.count(), 2);
+        cvecf outs(raws.size());
+        cvecf slabs(grids.size());
+        std::vector<const cfloat*> in;
+        std::vector<cfloat*> out;
+        for (index_t b = 0; b < nb; ++b) {
+          in.push_back(raws.data() + b * dset.count());
+          out.push_back(outs.data() + b * dset.count());
+        }
+        const auto time_interp = [&](const ConvVariant& v) {
+          return time_call([&] {
+            for (const ConvTask& task : plan.plan().tasks) {
+              v.interp(plan.conv_range(task, false), grids.data(), slab, nb, st, out.data());
+            }
+          });
+        };
+        const auto time_spread = [&](const ConvVariant& v) {
+          return time_call([&] {
+            for (const ConvTask& task : plan.plan().tasks) {
+              v.spread(plan.conv_range(task, false), in.data(), nb, slabs.data(), slab, st);
+            }
+          });
+        };
+        const double interp_spec = time_interp(spec);
+        const double interp_rt = time_interp(runtime);
+        const double spread_spec = time_spread(spec);
+        const double spread_rt = time_spread(runtime);
+        char label[32];
+        std::snprintf(label, sizeof(label), "%s.d%d.nb%lld", use_horner ? "horner" : "lut", dim,
+                      static_cast<long long>(nb));
+        std::printf("%-14s %12.4f %12.4f %7.2fx %12.4f %12.4f %7.2fx\n", label,
+                    interp_spec, interp_rt, interp_rt / interp_spec, spread_spec, spread_rt,
+                    spread_rt / spread_spec);
+        report.add(label, {{"dim", static_cast<double>(dim)},
+                           {"horner", use_horner ? 1.0 : 0.0},
+                           {"nb", static_cast<double>(nb)},
+                           {"width2", static_cast<double>(spec.key.width2)},
+                           {"interp_spec_s", interp_spec},
+                           {"interp_runtime_s", interp_rt},
+                           {"interp_gain", interp_rt / interp_spec},
+                           {"spread_spec_s", spread_spec},
+                           {"spread_runtime_s", spread_rt},
+                           {"spread_gain", spread_rt / spread_spec}});
+      }
     }
   }
   report.write();

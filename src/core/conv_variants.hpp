@@ -1,36 +1,35 @@
-// Template bodies of the specialized convolution variants — included by the
-// three per-backend registration TUs (conv_variants_{scalar,sse,avx2}.cpp)
-// and instantiable from benches/tests for Part-1 micro-measurement.
+// Template bodies of the convolution variants — included by the three
+// per-backend registration TUs (conv_variants_{scalar,sse,avx2}.cpp) and
+// instantiable from benches/tests for Part-1 micro-measurement.
 //
-// Bit-identity contract with the generic path (core/convolution.cpp +
-// core/nufft.cpp): for every key, the specialized spread/interp must produce
-// bit-identical results to the generic loop on the same plan. Three rules
-// keep that true:
+// One sample-range body (spread_range / interp_range) serves every key; the
+// runtime-width entry (W2 = 0) and the constexpr-W entries differ only in
+// Part 1 (compute_window vs window_spec). Bit-identity contract: for every
+// (backend, dim, evaluator), each constexpr-W variant must produce
+// bit-identical grids and samples to the runtime-width variant, at any slab
+// count. Two rules keep that true:
 //
 //   1. The window geometry (float-rounding trim, modular wrap) comes from
-//      the SAME inline helpers the generic compute_window uses
-//      (core/window_span.hpp), never re-derived.
+//      the SAME inline helpers compute_window uses (core/window_span.hpp),
+//      never re-derived.
 //   2. Every TU including this header is compiled at the baseline ISA. On a
 //      TU built with -mavx2 -mfma the compiler may contract the a·b+c shapes
 //      in the window/weight arithmetic into FMA, which changes rounding and
-//      silently breaks the bit-match against the baseline-compiled generic
-//      path. AVX2 work is reached only through *extern* functions that were
-//      themselves audited for lane-exactness: the Part-2 kernels of
-//      core/convolution_avx2.cpp (the very same functions the generic AVX2
-//      mode calls), and kernels::eval_window_avx2 (explicit mul+add
-//      intrinsics, never fmadd — see kernels/horner_avx2.cpp).
-//   3. The per-sample body mirrors the generic convolve_range / interp loop
-//      statement for statement (box rebase included); only the compile-time
-//      constants (dim, W, evaluator, backend) differ.
+//      silently breaks the bit-match against the baseline-compiled
+//      compute_window. AVX2 work is reached only through *extern* functions
+//      that were themselves audited for lane-exactness: the Part-2 kernels
+//      of core/convolution_avx2.cpp, and kernels::eval_window_avx2 (explicit
+//      mul+add intrinsics, never fmadd — see kernels/horner_avx2.cpp).
 //
-// What specialization buys (paper Part 1, the dominant phase at small W):
-// constexpr W feeds the trim, the per-element `lut != nullptr` branch and
-// the per-sample backend switch disappear, the dim loops unroll, and the
-// AVX2+Horner combination evaluates the whole weight row 8 segments per
-// instruction instead of riding the scalar recurrence.
+// What a constexpr width buys (paper Part 1, the dominant phase at small W):
+// constexpr W feeds the trim, the per-element `lut != nullptr` branch
+// disappears, the dim loops unroll, and the AVX2+Horner combination
+// evaluates the whole weight row 8 segments per instruction instead of
+// riding the scalar recurrence.
 #pragma once
 
-#include <cstdio>
+#include <algorithm>
+#include <vector>
 
 #include "common/error.hpp"
 #include "core/conv_dispatch.hpp"
@@ -45,7 +44,7 @@ namespace nufft::detail {
 /// row evaluation through the AVX2 evaluator (only set for the AVX2 backend,
 /// whose availability the plan already verified).
 template <int DIM, int W2, bool HORNER, bool AVX2ROW>
-inline void window_spec(const GridDesc& g, const WindowEval& ev, const float* coord,
+[[gnu::always_inline]] inline void window_spec(const GridDesc& g, const WindowEval& ev, const float* coord,
                         bool fill_dup, WindowBuf& wb) {
   constexpr float W = static_cast<float>(W2) * 0.5f;  // exact for half-integer widths
   for (int d = 0; d < DIM; ++d) {
@@ -85,8 +84,9 @@ inline void window_spec(const GridDesc& g, const WindowEval& ev, const float* co
   }
 }
 
-/// Rebase neighbour indices into a privatized task's box — identical to the
-/// generic path's rebase (core/nufft.cpp convolve_range).
+/// Rebase neighbour indices into a privatized task's box: idx − box_lo[d],
+/// box-local and never wrapping (the box covers the partition plus the
+/// kernel radius).
 template <int DIM>
 inline void rebase_box(const index_t* box_lo, WindowBuf& wb) {
   for (int d = 0; d < DIM; ++d) {
@@ -97,19 +97,132 @@ inline void rebase_box(const index_t* box_lo, WindowBuf& wb) {
   wb.inner_contiguous = true;
 }
 
+/// Part 1 for reordered sample i of the range: the constexpr-W window, or
+/// compute_window for the runtime-width entry (W2 = 0); box-rebased for
+/// privatized ranges. Forced inline (with window_spec): it runs once per
+/// sample, and each variant calls it from several loops, which would
+/// otherwise push it out of line.
 template <ConvBackend B, int DIM, int W2, bool HORNER>
-void spread_range(const ConvRange& a, const cfloat* raw, cfloat* dst,
-                  const std::array<index_t, 3>& strides) {
+[[gnu::always_inline]] inline void range_window(const ConvRange& a, index_t i, WindowBuf& wb) {
   constexpr bool kFillDup = B != ConvBackend::kScalar;
-  WindowBuf wb;
-  for (index_t i = a.begin; i < a.end; ++i) {
-    float coord[3];
-    for (int d = 0; d < DIM; ++d) {
-      coord[d] = a.coords[static_cast<std::size_t>(d)][static_cast<std::size_t>(i)];
-    }
+  float coord[3];
+  for (int d = 0; d < DIM; ++d) {
+    coord[d] = a.coords[static_cast<std::size_t>(d)][static_cast<std::size_t>(i)];
+  }
+  if constexpr (W2 == 0) {
+    compute_window(*a.g, a.ev, coord, DIM, kFillDup, wb);
+  } else {
     window_spec<DIM, W2, HORNER, B == ConvBackend::kAvx2 && HORNER>(*a.g, a.ev, coord,
                                                                     kFillDup, wb);
-    if (a.box_lo != nullptr) rebase_box<DIM>(a.box_lo, wb);
+  }
+  if (a.box_lo != nullptr) rebase_box<DIM>(a.box_lo, wb);
+}
+
+// Multi-slab loop blocking (nb ≥ 2): windows for kSampleBlock consecutive
+// (sorted) samples are staged once, then swept over kSlabGroup slabs at a
+// time. The block's windows overlap heavily after bucket sorting, so the
+// touched grid region of a slab group stays cache-resident across the whole
+// block, while the group width keeps the per-row weight-vector build
+// amortized over several slices. Per-slab sample order is unchanged, so the
+// scalar backend accumulates exactly like nb single applies.
+inline constexpr index_t kSampleBlock = 32;
+inline constexpr index_t kSlabGroup = 8;
+
+// The nb ≥ 2 bodies live out of line so the single-RHS loops below keep the
+// compact codegen of a loop with one Part-1 call site.
+template <ConvBackend B, int DIM, int W2, bool HORNER>
+[[gnu::noinline]] void spread_block(const ConvRange& a, const cfloat* const* raws, index_t nb,
+                                    cfloat* dst, std::size_t slab_stride,
+                                    const std::array<index_t, 3>& strides) {
+  std::vector<WindowBuf> wbs(static_cast<std::size_t>(kSampleBlock));
+  std::vector<cfloat> vals(static_cast<std::size_t>(kSampleBlock * kMaxBatch));
+  for (index_t s0 = a.begin; s0 < a.end; s0 += kSampleBlock) {
+    const index_t sb = std::min<index_t>(kSampleBlock, a.end - s0);
+    for (index_t i = 0; i < sb; ++i) {
+      range_window<B, DIM, W2, HORNER>(a, s0 + i, wbs[static_cast<std::size_t>(i)]);
+      const index_t oi = a.orig_index[static_cast<std::size_t>(s0 + i)];
+      for (index_t b = 0; b < nb; ++b) {
+        vals[static_cast<std::size_t>(i * kMaxBatch + b)] = raws[b][oi];
+      }
+    }
+    if constexpr (B == ConvBackend::kScalar) {
+      for (index_t b = 0; b < nb; ++b) {
+        cfloat* slab = dst + static_cast<std::size_t>(b) * slab_stride;
+        for (index_t i = 0; i < sb; ++i) {
+          adj_scatter_scalar<DIM>(slab, strides, wbs[static_cast<std::size_t>(i)],
+                                  vals[static_cast<std::size_t>(i * kMaxBatch + b)]);
+        }
+      }
+    } else {
+      for (index_t b0 = 0; b0 < nb; b0 += kSlabGroup) {
+        const index_t gnb = std::min<index_t>(kSlabGroup, nb - b0);
+        cfloat* gdst = dst + static_cast<std::size_t>(b0) * slab_stride;
+        for (index_t i = 0; i < sb; ++i) {
+          const WindowBuf& wb = wbs[static_cast<std::size_t>(i)];
+          const cfloat* v = vals.data() + static_cast<std::size_t>(i * kMaxBatch + b0);
+          if constexpr (B == ConvBackend::kSse) {
+            badj_scatter_sse<DIM>(gdst, slab_stride, gnb, strides, wb, v);
+          } else {
+            badj_scatter_avx2<DIM>(gdst, slab_stride, gnb, strides, wb, v);
+          }
+        }
+      }
+    }
+  }
+}
+
+template <ConvBackend B, int DIM, int W2, bool HORNER>
+[[gnu::noinline]] void interp_block(const ConvRange& a, const cfloat* grid,
+                                    std::size_t slab_stride, index_t nb,
+                                    const std::array<index_t, 3>& strides, cfloat* const* outs) {
+  std::vector<WindowBuf> wbs(static_cast<std::size_t>(kSampleBlock));
+  std::vector<index_t> ois(static_cast<std::size_t>(kSampleBlock));
+  cfloat gouts[kMaxBatch];
+  for (index_t s0 = a.begin; s0 < a.end; s0 += kSampleBlock) {
+    const index_t sb = std::min<index_t>(kSampleBlock, a.end - s0);
+    for (index_t i = 0; i < sb; ++i) {
+      range_window<B, DIM, W2, HORNER>(a, s0 + i, wbs[static_cast<std::size_t>(i)]);
+      ois[static_cast<std::size_t>(i)] = a.orig_index[static_cast<std::size_t>(s0 + i)];
+    }
+    if constexpr (B == ConvBackend::kScalar) {
+      for (index_t b = 0; b < nb; ++b) {
+        const cfloat* slab = grid + static_cast<std::size_t>(b) * slab_stride;
+        cfloat* out = outs[b];
+        for (index_t i = 0; i < sb; ++i) {
+          out[ois[static_cast<std::size_t>(i)]] =
+              fwd_gather_scalar<DIM>(slab, strides, wbs[static_cast<std::size_t>(i)]);
+        }
+      }
+    } else {
+      for (index_t b0 = 0; b0 < nb; b0 += kSlabGroup) {
+        const index_t gnb = std::min<index_t>(kSlabGroup, nb - b0);
+        const cfloat* gslab = grid + static_cast<std::size_t>(b0) * slab_stride;
+        for (index_t i = 0; i < sb; ++i) {
+          const WindowBuf& wb = wbs[static_cast<std::size_t>(i)];
+          if constexpr (B == ConvBackend::kSse) {
+            bfwd_gather_sse<DIM>(gslab, slab_stride, gnb, strides, wb, gouts);
+          } else {
+            bfwd_gather_avx2<DIM>(gslab, slab_stride, gnb, strides, wb, gouts);
+          }
+          const index_t oi = ois[static_cast<std::size_t>(i)];
+          for (index_t b = 0; b < gnb; ++b) outs[b0 + b][oi] = gouts[b];
+        }
+      }
+    }
+  }
+}
+
+template <ConvBackend B, int DIM, int W2, bool HORNER>
+void spread_range(const ConvRange& a, const cfloat* const* raws, index_t nb, cfloat* dst,
+                  std::size_t slab_stride, const std::array<index_t, 3>& strides) {
+  if (nb > 1) {
+    spread_block<B, DIM, W2, HORNER>(a, raws, nb, dst, slab_stride, strides);
+    return;
+  }
+  const cfloat* raw = raws[0];
+  WindowBuf wb;
+  for (index_t i = a.begin; i < a.end; ++i) {
+    range_window<B, DIM, W2, HORNER>(a, i, wb);
     const cfloat v = raw[a.orig_index[static_cast<std::size_t>(i)]];
     if constexpr (B == ConvBackend::kScalar) {
       adj_scatter_scalar<DIM>(dst, strides, wb, v);
@@ -122,17 +235,16 @@ void spread_range(const ConvRange& a, const cfloat* raw, cfloat* dst,
 }
 
 template <ConvBackend B, int DIM, int W2, bool HORNER>
-void interp_range(const ConvRange& a, const cfloat* grid, const std::array<index_t, 3>& strides,
-                  cfloat* out) {
-  constexpr bool kFillDup = B != ConvBackend::kScalar;
+void interp_range(const ConvRange& a, const cfloat* grid, std::size_t slab_stride, index_t nb,
+                  const std::array<index_t, 3>& strides, cfloat* const* outs) {
+  if (nb > 1) {
+    interp_block<B, DIM, W2, HORNER>(a, grid, slab_stride, nb, strides, outs);
+    return;
+  }
+  cfloat* out = outs[0];
   WindowBuf wb;
   for (index_t i = a.begin; i < a.end; ++i) {
-    float coord[3];
-    for (int d = 0; d < DIM; ++d) {
-      coord[d] = a.coords[static_cast<std::size_t>(d)][static_cast<std::size_t>(i)];
-    }
-    window_spec<DIM, W2, HORNER, B == ConvBackend::kAvx2 && HORNER>(*a.g, a.ev, coord,
-                                                                    kFillDup, wb);
+    range_window<B, DIM, W2, HORNER>(a, i, wb);
     cfloat v;
     if constexpr (B == ConvBackend::kScalar) {
       v = fwd_gather_scalar<DIM>(grid, strides, wb);
@@ -145,6 +257,9 @@ void interp_range(const ConvRange& a, const cfloat* grid, const std::array<index
   }
 }
 
+/// Key and entry points only: registration runs one small loop instead of
+/// executing code that lives beside each variant's body (which would page
+/// the whole variant text in at startup). ConvDispatch names the entries.
 template <ConvBackend B, int DIM, int W2, bool HORNER>
 ConvVariant make_variant() {
   ConvVariant v;
@@ -152,10 +267,6 @@ ConvVariant make_variant() {
   v.key.dim = static_cast<std::uint8_t>(DIM);
   v.key.width2 = static_cast<std::uint8_t>(W2);
   v.key.eval = HORNER ? kernels::KernelEval::kHorner : kernels::KernelEval::kLut;
-  char name[32];
-  std::snprintf(name, sizeof(name), "%s.d%d.w%d.%s", conv_backend_name(B), DIM, W2,
-                HORNER ? "horner" : "lut");
-  v.name = name;
   v.spread = &spread_range<B, DIM, W2, HORNER>;
   v.interp = &interp_range<B, DIM, W2, HORNER>;
   return v;
@@ -169,6 +280,7 @@ void add_width(std::vector<ConvVariant>& out) {
 
 template <ConvBackend B, int DIM>
 void add_dim(std::vector<ConvVariant>& out) {
+  add_width<B, DIM, 0>(out);  // the runtime-width entry find() falls back to
   add_width<B, DIM, 4>(out);
   add_width<B, DIM, 5>(out);
   add_width<B, DIM, 6>(out);
@@ -176,7 +288,8 @@ void add_dim(std::vector<ConvVariant>& out) {
   add_width<B, DIM, 8>(out);
 }
 
-/// Instantiate every (dim, width2, evaluator) combination of one backend.
+/// Instantiate every (dim, width2 ∈ {0, 4..8}, evaluator) combination of one
+/// backend.
 template <ConvBackend B>
 void register_backend(std::vector<ConvVariant>& out) {
   add_dim<B, 1>(out);

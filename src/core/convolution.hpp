@@ -21,9 +21,16 @@
 // two multiplies in the same order as the scalar path, so adjoint scalar
 // and SIMD results are bitwise identical. The forward SIMD path uses two
 // partial accumulators across z, so it matches scalar only to rounding.
+//
+// Multi-slab kernels (badj_scatter_* / bfwd_gather_*): weight nb values —
+// one per batch slice — through the *same* window into nb batch-major grids
+// (slab b at slab0 + b·slab_stride, each with the single-grid layout). The
+// window is computed once per sample, and the weight vectors win_dup·wxy are
+// built once per row and reused across the slice loop.
 #pragma once
 
 #include <array>
+#include <cstddef>
 
 #include "common/types.hpp"
 #include "core/grid.hpp"
@@ -31,6 +38,10 @@
 #include "kernels/lut.hpp"
 
 namespace nufft {
+
+/// Widest batch one multi-slab kernel invocation handles; batched applies
+/// chunk above this.
+inline constexpr index_t kMaxBatch = 16;
 
 /// Per-sample interpolation window (Fig. 2 Part 1 output).
 struct WindowBuf {
@@ -93,5 +104,16 @@ cfloat fwd_gather_scalar(const cfloat* grid, const std::array<index_t, 3>& strid
 template <int DIM>
 cfloat fwd_gather_simd(const cfloat* grid, const std::array<index_t, 3>& strides,
                        const WindowBuf& wb);
+
+/// Multi-slab Part 2, adjoint: add vals[b]·weights into slab b, for b < nb.
+template <int DIM>
+void badj_scatter_sse(cfloat* slab0, std::size_t slab_stride, index_t nb,
+                      const std::array<index_t, 3>& strides, const WindowBuf& wb,
+                      const cfloat* vals);
+
+/// Multi-slab Part 2, forward: outs[b] = Σ window cells of slab b, b < nb.
+template <int DIM>
+void bfwd_gather_sse(const cfloat* slab0, std::size_t slab_stride, index_t nb,
+                     const std::array<index_t, 3>& strides, const WindowBuf& wb, cfloat* outs);
 
 }  // namespace nufft

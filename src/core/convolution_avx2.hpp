@@ -7,6 +7,7 @@
 #pragma once
 
 #include <array>
+#include <cstddef>
 
 #include "common/types.hpp"
 #include "core/convolution.hpp"
@@ -24,5 +25,16 @@ void adj_scatter_avx2(cfloat* grid, const std::array<index_t, 3>& strides, const
 template <int DIM>
 cfloat fwd_gather_avx2(const cfloat* grid, const std::array<index_t, 3>& strides,
                        const WindowBuf& wb);
+
+/// Multi-slab variants (convolution.hpp contract), four complex cells per
+/// 256-bit op.
+template <int DIM>
+void badj_scatter_avx2(cfloat* slab0, std::size_t slab_stride, index_t nb,
+                       const std::array<index_t, 3>& strides, const WindowBuf& wb,
+                       const cfloat* vals);
+
+template <int DIM>
+void bfwd_gather_avx2(const cfloat* slab0, std::size_t slab_stride, index_t nb,
+                      const std::array<index_t, 3>& strides, const WindowBuf& wb, cfloat* outs);
 
 }  // namespace nufft

@@ -25,24 +25,6 @@ inline index_t wrap_coord(index_t v, index_t m) {
   return v;
 }
 
-// Dispatch a per-sample convolution body over a compile-time dimension.
-template <class F1, class F2, class F3>
-void dim_dispatch(int dim, F1&& f1, F2&& f2, F3&& f3) {
-  switch (dim) {
-    case 1:
-      f1();
-      return;
-    case 2:
-      f2();
-      return;
-    case 3:
-      f3();
-      return;
-    default:
-      throw Error("unsupported dimension");
-  }
-}
-
 }  // namespace
 
 Nufft::Nufft(const GridDesc& g, const datasets::SampleSet& samples, const PlanConfig& cfg)
@@ -142,39 +124,31 @@ Nufft::Nufft(const GridDesc& g, const datasets::SampleSet& samples, const PlanCo
     horner_ = std::make_shared<kernels::KernelHorner>(*kernel);
   }
 
-  // Resolve the vector path once. kAuto prefers AVX2 when the CPU has it;
+  // Resolve the vector backend once. kAuto prefers AVX2 when the CPU has it;
   // an explicit kAvx2 request on an unsupported CPU is a caller error.
+  ConvVariantKey key;
   if (!cfg_.use_simd) {
-    conv_mode_ = ConvMode::kScalar;
+    key.backend = ConvBackend::kScalar;
   } else if (cfg_.isa == SimdIsa::kAvx2 ||
              (cfg_.isa == SimdIsa::kAuto && avx2_available())) {
     NUFFT_CHECK_MSG(avx2_available(), "AVX2 kernels requested on a CPU without AVX2+FMA");
-    conv_mode_ = ConvMode::kAvx2;
+    key.backend = ConvBackend::kAvx2;
   } else {
-    conv_mode_ = ConvMode::kSse;
+    key.backend = ConvBackend::kSse;
   }
 
-  // Bind the convolution hot path to a specialized dispatch variant when the
-  // resolved (backend, dim, W, evaluator) shape is registered; every
-  // uncovered shape — non-half-integer W, W outside the calibrated set, or
-  // the specialize_conv ablation — keeps the generic loop. The two paths are
-  // bit-identical by contract (tests/test_dispatch.cpp), so this is purely a
-  // performance decision.
-  if (cfg_.specialize_conv) {
-    ConvVariantKey key;
-    key.backend = conv_mode_ == ConvMode::kScalar  ? ConvBackend::kScalar
-                  : conv_mode_ == ConvMode::kSse   ? ConvBackend::kSse
-                                                   : ConvBackend::kAvx2;
-    key.dim = static_cast<std::uint8_t>(g_.dim);
-    key.width2 = conv_width2(cfg_.kernel_radius);
-    key.eval = cfg_.eval;
-    if (key.width2 != 0) conv_variant_ = ConvDispatch::instance().find(key);
-  }
-  if (conv_variant_ != nullptr) {
-    plan_stats_.conv_specialized = true;
-    plan_stats_.conv_variant_id = conv_variant_->key.id();
-    plan_stats_.conv_variant = conv_variant_->name;
-  }
+  // Bind the convolution hot path: the constexpr-W variant for a calibrated
+  // width, the runtime-width entry for any other W. The two are bit-identical
+  // by contract (tests/test_dispatch.cpp), so this is purely a performance
+  // decision.
+  key.dim = static_cast<std::uint8_t>(g_.dim);
+  key.width2 = conv_width2(cfg_.kernel_radius);
+  key.eval = cfg_.eval;
+  conv_variant_ = ConvDispatch::instance().find(key);
+  NUFFT_CHECK_MSG(conv_variant_ != nullptr, "unsupported dimension " << g_.dim);
+  plan_stats_.conv_specialized = conv_variant_->key.width2 != 0;
+  plan_stats_.conv_variant_id = conv_variant_->key.id();
+  plan_stats_.conv_variant = conv_variant_->name;
   obs::count(std::string("nufft.conv.variant.") + plan_stats_.conv_variant);
 
   // The plan-owned workspace backing the convenience (non-const) API.
@@ -205,7 +179,6 @@ Nufft::Nufft(const Nufft& src, const datasets::SampleSet& new_samples, const Upd
   wrap_runs_ = src.wrap_runs_;
   lut_ = src.lut_;
   horner_ = src.horner_;
-  conv_mode_ = src.conv_mode_;
   conv_variant_ = src.conv_variant_;
   plan_stats_ = src.plan_stats_;
   if (path != UpdatePath::kNoop) ++plan_stats_.generation;
@@ -276,61 +249,56 @@ std::size_t Nufft::workspace_bytes() const {
   return elems * sizeof(cfloat);
 }
 
-void Nufft::clear_grid(Workspace& ws, ThreadPool& pool) const {
-  cfloat* p = ws.grid.data();
-  pool.parallel_for(static_cast<index_t>(ws.grid.size()), [&](index_t b, index_t e) {
-    zero_complex(p + b, static_cast<std::size_t>(e - b));
+void Nufft::clear_slabs(cfloat* slabs, std::size_t elems, ThreadPool& pool) {
+  pool.parallel_for(static_cast<index_t>(elems), [&](index_t b, index_t e) {
+    zero_complex(slabs + b, static_cast<std::size_t>(e - b));
   });
 }
 
-void Nufft::clear_grid() { clear_grid(ws_, *pool_); }
+void Nufft::clear_grid() { clear_slabs(ws_.grid.data(), ws_.grid.size(), *pool_); }
 
-void Nufft::image_to_grid(const cfloat* image, Workspace& ws, ThreadPool& pool) const {
-  // Specialized plans take the fused scale pass: one sweep over the grid
-  // writing every cell exactly once (zero padding or scaled image value)
-  // instead of clear_grid + scatter — the grid is touched once, not twice.
-  // The innermost dimension walks the precomputed wrap runs (contiguous
-  // grid↔image stretches), so the hot loop is a straight copy-scale with no
-  // per-element lookup or branch. Bit-identical to the two-pass path: the
-  // written cells use the same multiply grouping, and untouched cells are the
-  // same +0.0f the clear writes. Gated on the dispatch binding so the
-  // specialize_conv=false ablation measures (and the bit-match tests compare)
-  // the original passes.
-  if (conv_variant_ != nullptr) {
-    const int dim = g_.dim;
-    const auto st = g_.grid_strides();
-    const index_t m0 = g_.m[0];
-    const index_t m1 = dim >= 2 ? g_.m[1] : 1;
-    const index_t m2 = dim >= 3 ? g_.m[2] : 1;
-    const index_t n1 = dim >= 2 ? g_.n[1] : 1;
-    const index_t n2 = dim >= 3 ? g_.n[2] : 1;
-    const fvec& s0 = scale_[0];
-    const fvec* s1 = dim >= 2 ? &scale_[1] : nullptr;
-    const fvec* s2 = dim >= 3 ? &scale_[2] : nullptr;
-    // Stream one row's runs: gaps zeroed, each run a lookup-free copy-scale.
-    // Same multiply grouping as the generic scatter (src · (f · scale)).
-    const auto stream_row = [&](cfloat* row, index_t m, const std::vector<WrapRun>& runs,
-                                const cfloat* src, float f, const fvec& scale) {
-      index_t gcur = 0;
-      for (const WrapRun& r : runs) {
-        zero_complex(row + gcur, static_cast<std::size_t>(r.g_begin - gcur));
-        const index_t len = r.g_end - r.g_begin;
-        cfloat* out = row + r.g_begin;
-        const cfloat* in = src + r.i_begin;
-        const float* sc = scale.data() + r.i_begin;
-        for (index_t j = 0; j < len; ++j) out[j] = in[j] * (f * sc[j]);
-        gcur = r.g_end;
-      }
-      zero_complex(row + gcur, static_cast<std::size_t>(m - gcur));
-    };
-    pool.parallel_for(m0, [&](index_t b, index_t e) {
-      for (index_t g0 = b; g0 < e; ++g0) {
-        cfloat* slab = ws.grid.data() + g0 * st[0];
-        const index_t i0 = inv_wrap_[0][static_cast<std::size_t>(g0)];
+void Nufft::images_to_slabs(const cfloat* const* images, index_t nb, cfloat* slabs,
+                            std::size_t stride, ThreadPool& pool) const {
+  // One sweep over each slab writing every cell exactly once (zero padding
+  // or scaled image value), so the grid needs no separate clear. The
+  // innermost dimension walks the precomputed wrap runs (contiguous
+  // grid↔image stretches): the hot loop is a straight copy-scale with no
+  // per-element lookup or branch. Multiply grouping is src · (f · scale),
+  // with f the product of the outer dims' factors.
+  const int dim = g_.dim;
+  const auto st = g_.grid_strides();
+  const index_t m1 = dim >= 2 ? g_.m[1] : 1;
+  const index_t m2 = dim >= 3 ? g_.m[2] : 1;
+  const index_t n1 = dim >= 2 ? g_.n[1] : 1;
+  const index_t n2 = dim >= 3 ? g_.n[2] : 1;
+  const fvec& s0 = scale_[0];
+  const fvec* s1 = dim >= 2 ? &scale_[1] : nullptr;
+  const fvec* s2 = dim >= 3 ? &scale_[2] : nullptr;
+  // Stream one row's runs: gaps zeroed, each run a lookup-free copy-scale.
+  const auto stream_row = [&](cfloat* row, index_t m, const std::vector<WrapRun>& runs,
+                              const cfloat* src, float f, const fvec& scale) {
+    index_t gcur = 0;
+    for (const WrapRun& r : runs) {
+      zero_complex(row + gcur, static_cast<std::size_t>(r.g_begin - gcur));
+      const index_t len = r.g_end - r.g_begin;
+      cfloat* out = row + r.g_begin;
+      const cfloat* in = src + r.i_begin;
+      const float* sc = scale.data() + r.i_begin;
+      for (index_t j = 0; j < len; ++j) out[j] = in[j] * (f * sc[j]);
+      gcur = r.g_end;
+    }
+    zero_complex(row + gcur, static_cast<std::size_t>(m - gcur));
+  };
+  pool.parallel_for(g_.m[0], [&](index_t b, index_t e) {
+    for (index_t g0 = b; g0 < e; ++g0) {
+      const index_t i0 = inv_wrap_[0][static_cast<std::size_t>(g0)];
+      for (index_t k = 0; k < nb; ++k) {
+        cfloat* slab = slabs + static_cast<std::size_t>(k) * stride + g0 * st[0];
         if (i0 < 0) {
           zero_complex(slab, static_cast<std::size_t>(st[0]));
           continue;
         }
+        const cfloat* image = images[k];
         const float f0 = s0[static_cast<std::size_t>(i0)];
         if (dim == 1) {
           slab[0] = image[i0] * f0;
@@ -351,68 +319,44 @@ void Nufft::image_to_grid(const cfloat* image, Workspace& ws, ThreadPool& pool) 
           stream_row(row, m2, wrap_runs_[2], image + (i0 * n1 + i1) * n2, f01, *s2);
         }
       }
-    });
-    return;
-  }
-
-  clear_grid(ws, pool);
-  const int dim = g_.dim;
-  const auto st = g_.grid_strides();
-  const index_t n0 = g_.n[0];
-  const index_t n1 = dim >= 2 ? g_.n[1] : 1;
-  const index_t n2 = dim >= 3 ? g_.n[2] : 1;
-  const fvec& s0 = scale_[0];
-  const fvec* s1 = dim >= 2 ? &scale_[1] : nullptr;
-  const fvec* s2 = dim >= 3 ? &scale_[2] : nullptr;
-  pool.parallel_for(n0, [&](index_t b, index_t e) {
-    for (index_t i0 = b; i0 < e; ++i0) {
-      const float f0 = s0[static_cast<std::size_t>(i0)];
-      const index_t g0 = wrap_[0][static_cast<std::size_t>(i0)];
-      for (index_t i1 = 0; i1 < n1; ++i1) {
-        const float f01 = dim >= 2 ? f0 * (*s1)[static_cast<std::size_t>(i1)] : f0;
-        const index_t g1 = dim >= 2 ? wrap_[1][static_cast<std::size_t>(i1)] : 0;
-        const cfloat* src = image + (i0 * n1 + i1) * n2;
-        cfloat* dst = ws.grid.data() + g0 * st[0] + (dim >= 2 ? g1 * st[1] : 0);
-        if (dim >= 3) {
-          for (index_t i2 = 0; i2 < n2; ++i2) {
-            dst[wrap_[2][static_cast<std::size_t>(i2)]] =
-                src[i2] * (f01 * (*s2)[static_cast<std::size_t>(i2)]);
-          }
-        } else {
-          dst[0] = src[0] * f01;
-        }
-      }
     }
   });
 }
 
-void Nufft::image_to_grid(const cfloat* image) { image_to_grid(image, ws_, *pool_); }
+void Nufft::image_to_grid(const cfloat* image) {
+  images_to_slabs(&image, 1, ws_.grid.data(), ws_.grid.size(), *pool_);
+}
 
-void Nufft::grid_to_image(cfloat* image, const Workspace& ws, ThreadPool& pool) const {
+void Nufft::slabs_to_images(const cfloat* slabs, std::size_t stride, index_t nb,
+                            cfloat* const* images, ThreadPool& pool) const {
   const int dim = g_.dim;
   const auto st = g_.grid_strides();
-  const index_t n0 = g_.n[0];
   const index_t n1 = dim >= 2 ? g_.n[1] : 1;
   const index_t n2 = dim >= 3 ? g_.n[2] : 1;
   const fvec& s0 = scale_[0];
   const fvec* s1 = dim >= 2 ? &scale_[1] : nullptr;
   const fvec* s2 = dim >= 3 ? &scale_[2] : nullptr;
-  pool.parallel_for(n0, [&](index_t b, index_t e) {
+  pool.parallel_for(g_.n[0], [&](index_t b, index_t e) {
     for (index_t i0 = b; i0 < e; ++i0) {
       const float f0 = s0[static_cast<std::size_t>(i0)];
       const index_t g0 = wrap_[0][static_cast<std::size_t>(i0)];
       for (index_t i1 = 0; i1 < n1; ++i1) {
         const float f01 = dim >= 2 ? f0 * (*s1)[static_cast<std::size_t>(i1)] : f0;
         const index_t g1 = dim >= 2 ? wrap_[1][static_cast<std::size_t>(i1)] : 0;
-        cfloat* dst = image + (i0 * n1 + i1) * n2;
-        const cfloat* src = ws.grid.data() + g0 * st[0] + (dim >= 2 ? g1 * st[1] : 0);
-        if (dim >= 3) {
-          for (index_t i2 = 0; i2 < n2; ++i2) {
-            dst[i2] = src[wrap_[2][static_cast<std::size_t>(i2)]] *
-                      (f01 * (*s2)[static_cast<std::size_t>(i2)]);
+        // Row geometry resolved once, applied to every slab.
+        const cfloat* src0 = slabs + g0 * st[0] + (dim >= 2 ? g1 * st[1] : 0);
+        const index_t row_off = (i0 * n1 + i1) * n2;
+        for (index_t k = 0; k < nb; ++k) {
+          const cfloat* src = src0 + static_cast<std::size_t>(k) * stride;
+          cfloat* dst = images[k] + row_off;
+          if (dim >= 3) {
+            for (index_t i2 = 0; i2 < n2; ++i2) {
+              dst[i2] = src[wrap_[2][static_cast<std::size_t>(i2)]] *
+                        (f01 * (*s2)[static_cast<std::size_t>(i2)]);
+            }
+          } else {
+            dst[0] = src[0] * f01;
           }
-        } else {
-          dst[0] = src[0] * f01;
         }
       }
     }
@@ -420,174 +364,77 @@ void Nufft::grid_to_image(cfloat* image, const Workspace& ws, ThreadPool& pool) 
 }
 
 void Nufft::grid_to_image(cfloat* image) const {
-  grid_to_image(image, ws_, *pool_);
+  slabs_to_images(ws_.grid.data(), ws_.grid.size(), 1, &image, *pool_);
 }
 
-void Nufft::interp(cfloat* raw, const Workspace& ws, ThreadPool& pool) const {
+void Nufft::interp_slabs(const ConvVariant& v, const cfloat* slabs, std::size_t stride,
+                         index_t nb, cfloat* const* raws, ThreadPool& pool) const {
   const auto st = g_.grid_strides();
-  const cfloat* grid = ws.grid.data();
-  const int ntasks = static_cast<int>(pp_.tasks.size());
-
-  dim_dispatch(
-      g_.dim,
-      [&] { interp_dim<1>(grid, st, raw, ntasks, pool); },
-      [&] { interp_dim<2>(grid, st, raw, ntasks, pool); },
-      [&] { interp_dim<3>(grid, st, raw, ntasks, pool); });
+  pool.parallel_for_tid(static_cast<index_t>(pp_.tasks.size()), 1,
+                        [&](int, index_t kb, index_t ke) {
+                          for (index_t k = kb; k < ke; ++k) {
+                            v.interp(conv_range(pp_.tasks[static_cast<std::size_t>(k)], false),
+                                     slabs, stride, nb, st, raws);
+                          }
+                        });
 }
 
-void Nufft::interp(cfloat* raw) { interp(raw, ws_, *pool_); }
-
-template <int DIM>
-void Nufft::interp_dim(const cfloat* grid, const std::array<index_t, 3>& st, cfloat* raw,
-                       int ntasks, ThreadPool& pool) const {
-  if (conv_variant_ != nullptr) {
-    // Specialized dispatch: the whole per-sample loop (Part 1 window + Part 2
-    // gather) is one pre-instantiated function bound at plan time.
-    const ConvInterpFn fn = conv_variant_->interp;
-    pool.parallel_for_tid(ntasks, 1, [&](int, index_t kb, index_t ke) {
-      for (index_t k = kb; k < ke; ++k) {
-        fn(conv_range(pp_.tasks[static_cast<std::size_t>(k)], false), grid, st, raw);
-      }
-    });
-    return;
-  }
-  const ConvMode mode = conv_mode_;
-  const bool fill_dup = mode != ConvMode::kScalar;
-  const WindowEval ev = window_eval();
-  pool.parallel_for_tid(ntasks, 1, [&](int, index_t kb, index_t ke) {
-    WindowBuf wb;
-    for (index_t k = kb; k < ke; ++k) {
-      const ConvTask& task = pp_.tasks[static_cast<std::size_t>(k)];
-      for (index_t i = task.begin; i < task.end; ++i) {
-        float coord[3];
-        for (int d = 0; d < DIM; ++d) {
-          coord[d] = pp_.coords[static_cast<std::size_t>(d)][static_cast<std::size_t>(i)];
-        }
-        compute_window(g_, ev, coord, DIM, fill_dup, wb);
-        cfloat v;
-        switch (mode) {
-          case ConvMode::kScalar:
-            v = fwd_gather_scalar<DIM>(grid, st, wb);
-            break;
-          case ConvMode::kSse:
-            v = fwd_gather_simd<DIM>(grid, st, wb);
-            break;
-          default:
-            v = fwd_gather_avx2<DIM>(grid, st, wb);
-            break;
-        }
-        raw[pp_.orig_index[static_cast<std::size_t>(i)]] = v;
-      }
-    }
-  });
+void Nufft::interp(cfloat* raw) {
+  interp_slabs(*conv_variant_, ws_.grid.data(), ws_.grid.size(), 1, &raw, *pool_);
 }
 
-void Nufft::run_spread(const cfloat* raw, Workspace& ws, ThreadPool& pool,
-                       OperatorStats* stats) const {
+SchedulerStats Nufft::spread_slabs(const ConvVariant& v, const cfloat* const* raws, index_t nb,
+                                   cfloat* slabs, std::size_t stride,
+                                   std::vector<cvecf>& private_bufs,
+                                   const std::vector<char>& privatized, ThreadPool& pool) const {
+  const int dim = g_.dim;
   const auto st = g_.grid_strides();
-  dim_dispatch(
-      g_.dim, [&] { spread_dim<1>(raw, st, ws, pool, stats); },
-      [&] { spread_dim<2>(raw, st, ws, pool, stats); },
-      [&] { spread_dim<3>(raw, st, ws, pool, stats); });
-}
-
-template <int DIM>
-void Nufft::spread_dim(const cfloat* raw, const std::array<index_t, 3>& st, Workspace& ws,
-                       ThreadPool& pool, OperatorStats* stats) const {
-  cfloat* grid = ws.grid.data();
-  const ConvMode mode = conv_mode_;
-  const bool fill_dup = mode != ConvMode::kScalar;
-  const WindowEval ev = window_eval();
-
-  // Convolve one task's samples into `dst` (the global grid, or a private
-  // box with box-local indices).
-  auto convolve_range = [&](const ConvTask& task, cfloat* dst,
-                            const std::array<index_t, 3>& strides, bool box_local) {
-    if (conv_variant_ != nullptr) {
-      // Specialized dispatch: Part 1 + Part 2 for the whole range in one
-      // pre-instantiated call. Scheduling, privatization, and reduction
-      // around this are unchanged.
-      conv_variant_->spread(conv_range(task, box_local), raw, dst, strides);
-      return;
-    }
-    WindowBuf wb;
-    for (index_t i = task.begin; i < task.end; ++i) {
-      float coord[3];
-      for (int d = 0; d < DIM; ++d) {
-        coord[d] = pp_.coords[static_cast<std::size_t>(d)][static_cast<std::size_t>(i)];
-      }
-      compute_window(g_, ev, coord, DIM, fill_dup, wb);
-      if (box_local) {
-        // Rebase neighbour indices into the private box; the box covers the
-        // partition plus the kernel radius, so no wrapping can occur.
-        for (int d = 0; d < DIM; ++d) {
-          for (int t = 0; t < wb.len[d]; ++t) {
-            wb.idx[d][t] = wb.start[d] + t - task.box_lo[static_cast<std::size_t>(d)];
-          }
-        }
-        wb.inner_contiguous = true;
-      }
-      const cfloat v = raw[pp_.orig_index[static_cast<std::size_t>(i)]];
-      switch (mode) {
-        case ConvMode::kScalar:
-          adj_scatter_scalar<DIM>(dst, strides, wb, v);
-          break;
-        case ConvMode::kSse:
-          adj_scatter_simd<DIM>(dst, strides, wb, v);
-          break;
-        default:
-          adj_scatter_avx2<DIM>(dst, strides, wb, v);
-          break;
-      }
-    }
-  };
-
   auto body = [&](int task_id, int, JobPhase phase) {
     const ConvTask& task = pp_.tasks[static_cast<std::size_t>(task_id)];
+    const auto box_elems = static_cast<std::size_t>(task.box_elems(dim));
     switch (phase) {
       case JobPhase::kConvolve:
-        convolve_range(task, grid, st, false);
+        v.spread(conv_range(task, false), raws, nb, slabs, stride, st);
         break;
       case JobPhase::kPrivateConvolve: {
-        auto& buf = ws.private_bufs[static_cast<std::size_t>(task_id)];
-        zero_complex(buf.data(), buf.size());
+        auto& buf = private_bufs[static_cast<std::size_t>(task_id)];
+        zero_complex(buf.data(), static_cast<std::size_t>(nb) * box_elems);
         std::array<index_t, 3> bst{1, 1, 1};
-        for (int d = DIM - 2; d >= 0; --d) {
+        for (int d = dim - 2; d >= 0; --d) {
           bst[static_cast<std::size_t>(d)] =
               bst[static_cast<std::size_t>(d + 1)] *
               (task.box_hi[static_cast<std::size_t>(d + 1)] -
                task.box_lo[static_cast<std::size_t>(d + 1)]);
         }
-        convolve_range(task, buf.data(), bst, true);
+        v.spread(conv_range(task, true), raws, nb, buf.data(), box_elems, bst);
         break;
       }
       case JobPhase::kReduce: {
-        // Merge the private box into the global grid, wrapping mod M.
-        const auto& buf = ws.private_bufs[static_cast<std::size_t>(task_id)];
+        // Merge each slab's private box into the slab, wrapping mod M.
+        const auto& buf = private_bufs[static_cast<std::size_t>(task_id)];
         std::array<index_t, 3> blen{1, 1, 1};
-        for (int d = 0; d < DIM; ++d) {
+        for (int d = 0; d < dim; ++d) {
           blen[static_cast<std::size_t>(d)] = task.box_hi[static_cast<std::size_t>(d)] -
                                               task.box_lo[static_cast<std::size_t>(d)];
         }
-        const index_t rows = DIM >= 2 ? blen[0] * (DIM >= 3 ? blen[1] : 1) : 1;
-        const index_t inner = blen[static_cast<std::size_t>(DIM - 1)];
-        for (index_t r = 0; r < rows; ++r) {
-          const index_t b0 = DIM >= 3 ? r / blen[1] : (DIM == 2 ? r : 0);
-          const index_t b1 = DIM >= 3 ? r % blen[1] : 0;
-          index_t base = 0;
-          if (DIM >= 2) {
-            const index_t u0 = wrap_coord(task.box_lo[0] + b0, g_.m[0]);
-            base += u0 * st[0];
-          }
-          if (DIM >= 3) {
-            const index_t u1 = wrap_coord(task.box_lo[1] + b1, g_.m[1]);
-            base += u1 * st[1];
-          }
-          const cfloat* src = buf.data() + r * inner;
-          const index_t lo = task.box_lo[static_cast<std::size_t>(DIM - 1)];
-          const index_t m = g_.m[static_cast<std::size_t>(DIM - 1)];
-          for (index_t c = 0; c < inner; ++c) {
-            grid[base + wrap_coord(lo + c, m)] += src[c];
+        const auto last = static_cast<std::size_t>(dim - 1);
+        const index_t rows = dim >= 2 ? blen[0] * (dim >= 3 ? blen[1] : 1) : 1;
+        const index_t inner = blen[last];
+        const index_t lo = task.box_lo[last];
+        const index_t m = g_.m[last];
+        for (index_t k = 0; k < nb; ++k) {
+          cfloat* grid = slabs + static_cast<std::size_t>(k) * stride;
+          const cfloat* box = buf.data() + static_cast<std::size_t>(k) * box_elems;
+          for (index_t r = 0; r < rows; ++r) {
+            const index_t b0 = dim >= 3 ? r / blen[1] : (dim == 2 ? r : 0);
+            const index_t b1 = dim >= 3 ? r % blen[1] : 0;
+            index_t base = 0;
+            if (dim >= 2) base += wrap_coord(task.box_lo[0] + b0, g_.m[0]) * st[0];
+            if (dim >= 3) base += wrap_coord(task.box_lo[1] + b1, g_.m[1]) * st[1];
+            const cfloat* src = box + r * inner;
+            for (index_t c = 0; c < inner; ++c) {
+              grid[base + wrap_coord(lo + c, m)] += src[c];
+            }
           }
         }
         break;
@@ -595,19 +442,22 @@ void Nufft::spread_dim(const cfloat* raw, const std::array<index_t, 3>& st, Work
     }
   };
 
-  SchedulerStats sstats;
   if (cfg_.color_barrier_schedule) {
-    sstats = run_task_graph_colored(*pp_.graph, pp_.weights, pool, body);
-  } else {
-    SchedulerConfig scfg;
-    scfg.priority_queue = cfg_.priority_queue;
-    scfg.record_trace = cfg_.record_trace;
-    sstats = run_task_graph(*pp_.graph, pp_.weights, pp_.privatized, pool, body, scfg);
+    return run_task_graph_colored(*pp_.graph, pp_.weights, pool, body);
   }
+  SchedulerConfig scfg;
+  scfg.priority_queue = cfg_.priority_queue;
+  scfg.record_trace = cfg_.record_trace;
+  return run_task_graph(*pp_.graph, pp_.weights, privatized, pool, body, scfg);
+}
+
+void Nufft::run_spread(const cfloat* raw, Workspace& ws, ThreadPool& pool,
+                       OperatorStats* stats) const {
+  SchedulerStats sstats = spread_slabs(*conv_variant_, &raw, 1, ws.grid.data(), ws.grid.size(),
+                                       ws.private_bufs, pp_.privatized, pool);
   if (stats != nullptr) {
-    // Accumulate, don't overwrite: an apply may walk the scheduler more than
-    // once (the batched adjoint does, per slab-group chunk) and the caller
-    // resets the struct at apply entry.
+    // Accumulate, don't overwrite: the caller resets the struct at apply
+    // entry, and a batched apply walks the scheduler once per chunk.
     stats->add_scheduler_pass(sstats.tasks, sstats.privatized_tasks,
                               sstats.busy_ns_per_context);
   }
@@ -615,7 +465,7 @@ void Nufft::spread_dim(const cfloat* raw, const std::array<index_t, 3>& st, Work
 }
 
 void Nufft::spread(const cfloat* raw) {
-  clear_grid(ws_, *pool_);
+  clear_grid();
   run_spread(raw, ws_, *pool_, nullptr);
 }
 
@@ -626,7 +476,7 @@ void Nufft::forward(const cfloat* image, cfloat* raw, Workspace& ws, ThreadPool&
   Timer t;
   {
     obs::Span s("nufft.scale", "core");
-    image_to_grid(image, ws, pool);
+    images_to_slabs(&image, 1, ws.grid.data(), ws.grid.size(), pool);
   }
   ws.fwd_stats.scale_s = t.seconds();
 
@@ -640,7 +490,7 @@ void Nufft::forward(const cfloat* image, cfloat* raw, Workspace& ws, ThreadPool&
   t.reset();
   {
     obs::Span s("nufft.conv", "core");
-    interp(raw, ws, pool);
+    interp_slabs(*conv_variant_, ws.grid.data(), ws.grid.size(), 1, &raw, pool);
   }
   ws.fwd_stats.conv_s = t.seconds();
   ws.fwd_stats.total_s = total.seconds();
@@ -655,7 +505,7 @@ void Nufft::adjoint(const cfloat* raw, cfloat* image, Workspace& ws, ThreadPool&
   Timer t;
   {
     obs::Span s("nufft.scale", "core");
-    clear_grid(ws, pool);
+    clear_slabs(ws.grid.data(), ws.grid.size(), pool);
   }
   ws.adj_stats.scale_s = t.seconds();
 
@@ -676,7 +526,7 @@ void Nufft::adjoint(const cfloat* raw, cfloat* image, Workspace& ws, ThreadPool&
   t.reset();
   {
     obs::Span s("nufft.scale", "core");
-    grid_to_image(image, ws, pool);
+    slabs_to_images(ws.grid.data(), ws.grid.size(), 1, &image, pool);
   }
   ws.adj_stats.scale_s += t.seconds();
   ws.adj_stats.total_s = total.seconds();

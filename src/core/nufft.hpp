@@ -27,7 +27,9 @@
 // Batched applies (B right-hand sides per scheduler walk) are layered on the
 // same contract by `exec::BatchNufft`, which stores B oversampled grids as
 // consecutive slabs (batch-major: slab b at offset b·grid_elems()) so each
-// slice keeps the single-transform memory layout; see DESIGN.md §7.
+// slice keeps the single-transform memory layout; see DESIGN.md §7. The
+// passes around the FFT (scale, convolution, reduce) exist once, here, over
+// nb slabs — this class's own applies run them at nb = 1.
 #pragma once
 
 #include <memory>
@@ -165,11 +167,18 @@ class Nufft {
   const std::vector<TraceEvent>& last_trace() const { return ws_.trace; }
   ThreadPool& pool() { return *pool_; }
 
-  /// Vector path resolved from PlanConfig::use_simd / isa and the CPU.
-  enum class ConvMode { kScalar, kSse, kAvx2 };
-  ConvMode conv_mode() const { return conv_mode_; }
+  /// Vector backend resolved from PlanConfig::use_simd / isa and the CPU.
+  ConvBackend conv_mode() const { return conv_variant_->key.backend; }
 
-  /// Plan-time decisions (specialized convolution variant binding).
+  /// The convolution variant bound at plan time (core/conv_dispatch.hpp):
+  /// constexpr-W for calibrated widths, else the runtime-width entry.
+  const ConvVariant& conv_variant() const { return *conv_variant_; }
+
+  /// View of one task's sample range as the dispatch variants consume it.
+  /// box_local → indices rebased into the task's private box.
+  ConvRange conv_range(const ConvTask& task, bool box_local) const;
+
+  /// Plan-time decisions (convolution variant binding, update generation).
   const PlanStats& plan_stats() const { return plan_stats_; }
 
  private:
@@ -187,23 +196,32 @@ class Nufft {
     return ev;
   }
 
-  /// View of one task's sample range as the specialized dispatch variants
-  /// consume it (core/conv_dispatch.hpp). box_local → indices rebased into
-  /// the task's private box.
-  ConvRange conv_range(const ConvTask& task, bool box_local) const;
+  // --- the passes around the FFT, over nb ≤ kMaxBatch batch-major slabs ---
+  // Slab b of the grid lives at slabs + b·stride; images/raws are one
+  // pointer per slab. The single-RHS applies call them at nb = 1,
+  // exec::BatchNufft at its chunk width — one implementation of each pass.
 
-  void clear_grid(Workspace& ws, ThreadPool& pool) const;
-  void image_to_grid(const cfloat* image, Workspace& ws, ThreadPool& pool) const;
-  void grid_to_image(cfloat* image, const Workspace& ws, ThreadPool& pool) const;
-  void interp(cfloat* raw, const Workspace& ws, ThreadPool& pool) const;
+  /// Zero `elems` grid values in parallel.
+  static void clear_slabs(cfloat* slabs, std::size_t elems, ThreadPool& pool);
+  /// Fused scale pass: write every cell of each slab exactly once (zero
+  /// padding, or image value × rolloff × chop).
+  void images_to_slabs(const cfloat* const* images, index_t nb, cfloat* slabs,
+                       std::size_t stride, ThreadPool& pool) const;
+  /// Crop + scale + chop each slab back into its image.
+  void slabs_to_images(const cfloat* slabs, std::size_t stride, index_t nb,
+                       cfloat* const* images, ThreadPool& pool) const;
+  /// Forward convolution of every task through variant `v`.
+  void interp_slabs(const ConvVariant& v, const cfloat* slabs, std::size_t stride, index_t nb,
+                    cfloat* const* raws, ThreadPool& pool) const;
+  /// Adjoint convolution into pre-cleared slabs, one scheduler walk. Task k
+  /// with privatized[k] set convolves into private_bufs[k] (nb boxes of
+  /// box_elems each, batch-major) and reduces into the slabs.
+  SchedulerStats spread_slabs(const ConvVariant& v, const cfloat* const* raws, index_t nb,
+                              cfloat* slabs, std::size_t stride, std::vector<cvecf>& private_bufs,
+                              const std::vector<char>& privatized, ThreadPool& pool) const;
+  /// Single-RHS spread into ws.grid (pre-cleared); stats accumulate.
   void run_spread(const cfloat* raw, Workspace& ws, ThreadPool& pool,
                   OperatorStats* stats) const;
-  template <int DIM>
-  void interp_dim(const cfloat* grid, const std::array<index_t, 3>& st, cfloat* raw,
-                  int ntasks, ThreadPool& pool) const;
-  template <int DIM>
-  void spread_dim(const cfloat* raw, const std::array<index_t, 3>& st, Workspace& ws,
-                  ThreadPool& pool, OperatorStats* stats) const;
 
   GridDesc g_;
   PlanConfig cfg_;
@@ -229,8 +247,7 @@ class Nufft {
   std::array<std::vector<WrapRun>, 3> wrap_runs_;
   std::shared_ptr<kernels::KernelLut> lut_;
   std::shared_ptr<kernels::KernelHorner> horner_;  // set iff cfg_.eval == kHorner
-  ConvMode conv_mode_ = ConvMode::kSse;
-  const ConvVariant* conv_variant_ = nullptr;  // bound dispatch variant, or generic
+  const ConvVariant* conv_variant_ = nullptr;  // bound at construction, never null
   PlanStats plan_stats_;
   Workspace ws_;  // the plan-owned workspace behind the convenience API
 };

@@ -6,7 +6,6 @@
 
 #include "common/error.hpp"
 #include "common/timer.hpp"
-#include "core/conv_dispatch.hpp"
 #include "core/tolerance.hpp"
 
 namespace nufft {
@@ -17,13 +16,12 @@ constexpr std::uint32_t kMagic = 0x4E554657;  // "NUFW"
 // v2 added the resolved kernel identity (family, radius, LUT density, weight
 // evaluator) after the grid geometry: two plans differing only in kernel
 // must never restore interchangeably. v1 blobs are rejected as stale.
-// v3 appends the backend-agnostic convolution dispatch identity
-// (specialize_conv, dim, calibrated width2, evaluator — see
-// conv_dispatch_id()): a plan restored under a different dispatch
-// configuration would silently run a different hot path than the one it was
-// validated with. The vector backend is deliberately NOT part of the blob —
-// it is re-resolved per CPU so a cached plan restores across ISAs.
-constexpr std::uint32_t kVersion = 3;
+// v3 appended a convolution dispatch identity word; v4 drops it again — the
+// dispatch binding is a pure function of (dim, radius, evaluator), which the
+// blob already records, plus the vector backend, which is deliberately
+// re-resolved per CPU so a cached plan restores across ISAs. v3 blobs are
+// rejected as stale (kIoCorruption), so a v3 spill file rebuilds.
+constexpr std::uint32_t kVersion = 4;
 
 // On-disk container framing (save_plan/load_plan): a checksummed header in
 // front of the serialized blob, so a truncated or bit-flipped spill file is
@@ -121,8 +119,6 @@ std::vector<std::uint8_t> serialize_plan(const Preprocessed& pp, const GridDesc&
   w.put(rc.kernel_radius);
   w.put(static_cast<std::int32_t>(rc.lut_samples_per_unit));
   w.put(static_cast<std::int32_t>(rc.eval));
-  // Convolution dispatch identity (v3, backend-agnostic).
-  w.put(conv_dispatch_id(rc, g.dim));
 
   // Partition layout.
   for (int d = 0; d < g.dim; ++d) {
@@ -166,8 +162,6 @@ Preprocessed deserialize_plan(const std::uint8_t* data, std::size_t size, const 
                   "plan built for a different LUT density");
   NUFFT_CHECK_MSG(r.get<std::int32_t>() == static_cast<std::int32_t>(rc.eval),
                   "plan built for a different weight evaluator");
-  NUFFT_CHECK_MSG(r.get<std::uint32_t>() == conv_dispatch_id(rc, g.dim),
-                  "plan built for a different convolution dispatch configuration");
 
   Preprocessed pp;
   pp.layout.dim = g.dim;

@@ -71,8 +71,6 @@ struct PlanConfig {
   double privatization_factor = 1.0;     // scales the Eq. 6 threshold
   index_t reorder_tile = 8;              // tile edge for the cache reorder
   bool record_trace = false;             // scheduler instrumentation
-  bool specialize_conv = true;           // dispatch-registry ablation: false
-                                         // forces the generic convolution loop
 };
 
 /// One task = one grid partition plus the samples that fall inside it.

@@ -1,9 +1,9 @@
-// The window-geometry primitives shared by the generic compute_window and
-// every specialized convolution variant (core/conv_variants.hpp).
+// The window-geometry primitives shared by the runtime-width compute_window
+// and every constexpr-W convolution variant (core/conv_variants.hpp).
 //
 // Both callers MUST produce byte-identical windows for the same (k, W, m):
 // the dispatch registry's bit-match contract (tests/test_dispatch.cpp)
-// compares specialized and generic grids bitwise, and the float-rounding
+// compares constexpr-W and runtime-width results bitwise, and the float-rounding
 // trim below is exactly the hazard that diverges first when the expression
 // is re-derived instead of shared. Keep this header free of anything that
 // could be compiled differently across translation units (no FMA-shaped

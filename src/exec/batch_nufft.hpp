@@ -10,12 +10,17 @@
 //    the trajectory, not on the data).
 //  * The scheduler — one TDG / priority-queue walk convolves all B slices
 //    per task, so fork/join and queue traffic are paid once.
-//  * Part 2 weight vectors — the multi-slice kernels (batch_conv.hpp) hoist
-//    the wxy·win products out of the slice loop.
+//  * Part 2 weight vectors — the multi-slab kernels (core/convolution.hpp)
+//    hoist the wxy·win products out of the slice loop.
 //  * The FFT — pruned to the populated corner rows and run with
 //    column-interleaved batched Stockham stages (batch_fft.hpp).
 //  * Scale/chop/rolloff — the per-row wrap indices and scale factors are
 //    resolved once per grid row, then applied to all B slices.
+//
+// This class owns only the slab buffers, the chunk loop, the batched FFT
+// and the degradation paths. Every pass it runs — scale, convolution
+// (the plan's bound dispatch variant, called with the chunk's slab count),
+// privatized reduce — is the plan's own implementation (core/nufft.hpp).
 //
 // Grid layout: B slabs, batch-major — slice b's oversampled grid occupies
 // [b·grid_elems(), (b+1)·grid_elems()). Within a slab the layout is exactly
@@ -30,11 +35,14 @@
 // only read; any number of BatchNufft instances (and Workspace applies) may
 // run concurrently on one plan, each with its own ThreadPool.
 //
-// Determinism: in scalar mode (PlanConfig::use_simd = false) with one
-// thread, batched results are bit-identical to B single applies — the
-// per-slice scatter/gather/FFT operations execute in the same order with
-// the same associations. The SIMD paths re-associate weight products across
-// the batch and match to rounding (tests pin 1e-5).
+// Determinism: at nb = 1 every backend runs exactly the single-RHS passes
+// (the variants' nb = 1 body, the plan's own FFT), so results are
+// bit-identical to Nufft::forward/adjoint under the same schedule. In
+// scalar mode (PlanConfig::use_simd = false) with one thread, batched
+// results at any nb are bit-identical to nb single applies — the per-slice
+// scatter/gather/FFT operations execute in the same order with the same
+// associations. At nb ≥ 2 the SIMD paths re-associate weight products
+// across the batch and match to rounding (tests pin 1e-5).
 #pragma once
 
 #include <memory>
@@ -50,8 +58,8 @@ namespace nufft::exec {
 class BatchNufft {
  public:
   /// Size the batch buffers for up to `max_batch` slices per pass (clamped
-  /// to kMaxBatch; larger applies are processed in chunks). The plan must
-  /// outlive this object.
+  /// to kMaxBatch, core/convolution.hpp; larger applies are processed in
+  /// chunks). The plan must outlive this object.
   BatchNufft(const Nufft& plan, index_t max_batch);
   ~BatchNufft();
 
@@ -90,23 +98,18 @@ class BatchNufft {
                      ThreadPool& pool);
   void adjoint_chunk(const cfloat* const* raws, cfloat* const* images, index_t nb,
                      ThreadPool& pool);
-  void clear_slabs(index_t nb, ThreadPool& pool);
-  void batch_image_to_grid(const cfloat* const* images, index_t nb, ThreadPool& pool);
-  void batch_grid_to_image(cfloat* const* images, index_t nb, ThreadPool& pool);
-  template <int DIM>
-  void batch_interp(cfloat* const* raws, index_t nb, ThreadPool& pool);
-  template <int DIM>
-  void batch_spread(const cfloat* const* raws, index_t nb, ThreadPool& pool,
-                    OperatorStats* stats);
+  /// Rebind to the scalar variant of the plan's key (sticky), or throw
+  /// kResourceExhausted when already scalar.
+  void downgrade_to_scalar(const char* direction);
 
   const Nufft* plan_;
   index_t capacity_ = 0;
   std::size_t slab_elems_ = 0;
-  // Effective convolution mode: starts as the plan's resolved mode and is
-  // downgraded (sticky) to kScalar when a SIMD-path allocation fails
-  // mid-apply — the chunk is re-run on the scalar path and the downgrade is
-  // recorded in the apply's OperatorStats.
-  Nufft::ConvMode conv_mode_;
+  // Effective convolution variant: starts as the plan's binding and is
+  // rebound (sticky) to the registry's scalar variant of the same key when a
+  // SIMD-path allocation fails mid-apply — the chunk is re-run on the scalar
+  // path and the downgrade is recorded in the apply's OperatorStats.
+  const ConvVariant* variant_;
   bool simd_downgraded_ = false;
   // Set when the private reduction buffers could not be allocated: spreads
   // run every task through the TDG-serialized direct-scatter path instead.

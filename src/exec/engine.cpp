@@ -7,7 +7,7 @@
 
 #include "common/error.hpp"
 #include "common/fault.hpp"
-#include "exec/batch_conv.hpp"
+#include "core/convolution.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 

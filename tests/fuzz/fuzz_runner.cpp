@@ -2,6 +2,7 @@
 
 #include <cmath>
 #include <cstddef>
+#include <cstring>
 #include <memory>
 #include <sstream>
 
@@ -61,6 +62,12 @@ double norm2(const cdouble* a, index_t n) {
     s += std::norm(a[static_cast<std::size_t>(i)]);
   }
   return std::sqrt(s);
+}
+
+// Bit-for-bit equality (an empty pair — a zero-sample plan — is equal).
+bool bitwise_equal(const cvecf& a, const cvecf& b) {
+  return a.size() == b.size() &&
+         (a.empty() || std::memcmp(a.data(), b.data(), a.size() * sizeof(cfloat)) == 0);
 }
 
 // Relative error with a floored denominator: near-zero references fall back
@@ -198,7 +205,6 @@ PlanConfig base_config(const FuzzConfig& c) {
   cfg.variable_partitions = c.variable_partitions;
   cfg.reorder = c.reorder;
   cfg.privatization_factor = c.privatization_factor;
-  cfg.specialize_conv = c.specialize_conv;
   return cfg;
 }
 
@@ -351,6 +357,31 @@ void run_full(const FuzzConfig& c, Report& rep) {
     const std::string aname = std::string(v.name) + " adjoint vs NUDFT";
     rep.check_rel(fname.c_str(), rel_err(raw_out.data(), fwd_ref.data(), set.count()), tol);
     rep.check_rel(aname.c_str(), rel_err(img_out.data(), adj_ref.data(), g.image_elems()), tol);
+
+    // BatchNufft at nb = 1 runs the plan's own passes: bit for bit the single
+    // apply. One pool thread on both sides keeps the spread's accumulation
+    // order identical.
+    {
+      ThreadPool one(1);
+      Workspace ws = plan->make_workspace();
+      exec::BatchNufft b1(*plan, 1);
+      cvecf single(raw_out.size()), batched(raw_out.size());
+      const cfloat* img_ptr = img_in.data();
+      cfloat* out_ptr = batched.data();
+      plan->forward(img_in.data(), single.data(), ws, one);
+      b1.forward(&img_ptr, &out_ptr, 1, one);
+      if (!bitwise_equal(batched, single)) {
+        rep.fail() << v.name << " BatchNufft nb=1 forward differs bitwise from the single apply";
+      }
+      cvecf isingle(img_out.size()), ibatched(img_out.size());
+      const cfloat* raw_ptr = raw_in.data();
+      cfloat* iout_ptr = ibatched.data();
+      plan->adjoint(raw_in.data(), isingle.data(), ws, one);
+      b1.adjoint(&raw_ptr, &iout_ptr, 1, one);
+      if (!bitwise_equal(ibatched, isingle)) {
+        rep.fail() << v.name << " BatchNufft nb=1 adjoint differs bitwise from the single apply";
+      }
+    }
 
     if (!plans.empty()) {
       // Against the scalar path: identical windows and schedule, only

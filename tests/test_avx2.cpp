@@ -120,7 +120,7 @@ TEST(Avx2Plan, EndToEndMatchesSsePlan) {
 
   Nufft sse(g, set, sse_cfg);
   Nufft avx(g, set, avx_cfg);
-  EXPECT_EQ(avx.conv_mode(), Nufft::ConvMode::kAvx2);
+  EXPECT_EQ(avx.conv_mode(), ConvBackend::kAvx2);
 
   cvecf raw_a(raw.size()), raw_b(raw.size());
   sse.forward(img.data(), raw_a.data());
@@ -140,9 +140,9 @@ TEST(Avx2Plan, AutoSelectsWidestAvailable) {
   cfg.isa = SimdIsa::kAuto;
   Nufft plan(g, set, cfg);
   if (avx2_available()) {
-    EXPECT_EQ(plan.conv_mode(), Nufft::ConvMode::kAvx2);
+    EXPECT_EQ(plan.conv_mode(), ConvBackend::kAvx2);
   } else {
-    EXPECT_EQ(plan.conv_mode(), Nufft::ConvMode::kSse);
+    EXPECT_EQ(plan.conv_mode(), ConvBackend::kSse);
   }
 }
 
@@ -153,7 +153,7 @@ TEST(Avx2Plan, ScalarConfigIgnoresIsa) {
   cfg.use_simd = false;
   cfg.isa = SimdIsa::kAuto;
   Nufft plan(g, set, cfg);
-  EXPECT_EQ(plan.conv_mode(), Nufft::ConvMode::kScalar);
+  EXPECT_EQ(plan.conv_mode(), ConvBackend::kScalar);
 }
 
 }  // namespace

@@ -175,6 +175,39 @@ INSTANTIATE_TEST_SUITE_P(DimsIsa, BatchSimdEquivalence,
                                   (std::get<1>(info.param) == SimdIsa::kSse ? "sse" : "avx2");
                          });
 
+TEST(BatchNufft, SingleSlabMatchesNufftBitwise) {
+  // At nb = 1 the batched apply runs the plan's own passes — the bound
+  // variant's single-RHS body and the plan's pruned FFT — so every backend
+  // reproduces Nufft::forward/adjoint to the bit (one thread: same schedule).
+  for (const int dim : {1, 2, 3}) {
+    for (const ConvBackend backend :
+         {ConvBackend::kScalar, ConvBackend::kSse, ConvBackend::kAvx2}) {
+      if (backend == ConvBackend::kAvx2 && !avx2_available()) continue;
+      SCOPED_TRACE(std::to_string(dim) + "d " + conv_backend_name(backend));
+      Fixture f = make_fixture(dim);
+      PlanConfig cfg;
+      cfg.threads = 1;
+      cfg.use_simd = backend != ConvBackend::kScalar;
+      cfg.isa = backend == ConvBackend::kAvx2 ? SimdIsa::kAvx2 : SimdIsa::kSse;
+      Nufft plan(f.g, f.set, cfg);
+      ASSERT_EQ(plan.conv_mode(), backend);
+
+      cvecf fref(static_cast<std::size_t>(f.set.count()));
+      cvecf aref(static_cast<std::size_t>(f.g.image_elems()));
+      plan.forward(f.images[0].data(), fref.data());
+      plan.adjoint(f.raws[0].data(), aref.data());
+
+      BatchNufft batch(plan, 1);
+      cvecf fgot(fref.size());
+      cvecf agot(aref.size());
+      batch.forward(f.images[0].data(), fgot.data(), 1);
+      batch.adjoint(f.raws[0].data(), agot.data(), 1);
+      EXPECT_TRUE(bitwise_equal(fgot.data(), fref.data(), f.set.count())) << "forward";
+      EXPECT_TRUE(bitwise_equal(agot.data(), aref.data(), f.g.image_elems())) << "adjoint";
+    }
+  }
+}
+
 // --- PlanRegistry ----------------------------------------------------------
 
 TEST(PlanRegistry, SingleFlightDeduplicatesConcurrentBuilds) {

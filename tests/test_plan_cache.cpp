@@ -2,6 +2,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <cstring>
 #include <filesystem>
 #include <fstream>
 
@@ -10,6 +11,7 @@
 #include "core/nufft.hpp"
 #include "core/plan_cache.hpp"
 #include "core/tolerance.hpp"
+#include "exec/plan_registry.hpp"
 #include "test_util.hpp"
 
 namespace nufft {
@@ -130,21 +132,6 @@ TEST(PlanCache, RejectsDifferentKernelIdentity) {
   EXPECT_THROW(deserialize_plan(blob.data(), blob.size(), f.g, f.set, denser), Error);
 }
 
-TEST(PlanCache, DispatchIdentityMismatchRejected) {
-  // v3 records the convolution dispatch identity (specialize_conv, dim,
-  // calibrated width2, evaluator): a blob serialized under the specialized
-  // hot path must not restore into a plan configured for the generic loop
-  // (or vice versa) — that plan would silently run a different convolution
-  // path than the one it was validated with.
-  Fixture f;
-  const auto pp = preprocess(f.g, f.set, f.cfg);
-  const auto blob = serialize_plan(pp, f.g, f.cfg);
-
-  PlanConfig other = f.cfg;
-  other.specialize_conv = !other.specialize_conv;
-  EXPECT_THROW(deserialize_plan(blob.data(), blob.size(), f.g, f.set, other), Error);
-}
-
 TEST(PlanCache, ToleranceConfigCanonicalizesToResolvedIdentity) {
   // Serializing under an explicit config and restoring under the
   // tolerance-driven config that resolves to the same parameters must work:
@@ -203,6 +190,101 @@ ErrorCode load_error_code(const std::string& path, const GridDesc& g,
   }
   ADD_FAILURE() << "load_plan unexpectedly succeeded";
   return ErrorCode::kInternal;
+}
+
+/// The v3 form of a v4 blob: version word 3, plus the dispatch identity word
+/// v3 carried after the kernel identity (magic, version, dim, m[dim], family,
+/// radius, LUT density, evaluator): 1<<24 | dim<<16 | 2W<<8 | eval.
+std::vector<std::uint8_t> as_v3_blob(std::vector<std::uint8_t> blob, const GridDesc& g,
+                                     const PlanConfig& cfg) {
+  const std::uint32_t version = 3;
+  std::memcpy(blob.data() + sizeof(std::uint32_t), &version, sizeof(version));
+  const std::size_t at = 3 * sizeof(std::uint32_t) +
+                         static_cast<std::size_t>(g.dim) * sizeof(index_t) +
+                         3 * sizeof(std::int32_t) + sizeof(double);
+  const auto width2 = static_cast<std::uint32_t>(2.0 * cfg.kernel_radius);
+  const std::uint32_t dispatch_id = (1u << 24) | (static_cast<std::uint32_t>(g.dim) << 16) |
+                                    (width2 << 8) | static_cast<std::uint32_t>(cfg.eval);
+  const auto* p = reinterpret_cast<const std::uint8_t*>(&dispatch_id);
+  blob.insert(blob.begin() + static_cast<std::ptrdiff_t>(at), p, p + sizeof(dispatch_id));
+  return blob;
+}
+
+TEST(PlanCache, V3BlobRejectedAsCorruption) {
+  // v4 dropped the v3 dispatch identity word: a v3 blob is a stale format,
+  // an integrity failure (kIoCorruption) rather than a geometry mismatch.
+  Fixture f;
+  const auto pp = preprocess(f.g, f.set, f.cfg);
+  const auto v3 = as_v3_blob(serialize_plan(pp, f.g, f.cfg), f.g, f.cfg);
+  try {
+    deserialize_plan(v3.data(), v3.size(), f.g, f.set, f.cfg);
+    FAIL() << "expected Error";
+  } catch (const Error& e) {
+    EXPECT_EQ(e.code(), ErrorCode::kIoCorruption);
+  }
+}
+
+TEST(PlanCache, V3SpillFileRebuilds) {
+  // A spill file written before v4 must not restore: the registry counts it
+  // as corrupt, drops it and rebuilds a bit-identical plan.
+  Fixture f;
+  f.cfg.threads = 1;
+  const auto other = testing::small_trajectory(TrajectoryType::kSpiral, 2, 32, 400);
+  const auto dir = std::filesystem::temp_directory_path() / "nufft_plan_v3_spill";
+  std::filesystem::remove_all(dir);
+  exec::RegistryConfig rc;
+  rc.max_bytes = 1;  // the second resident plan evicts (and spills) the first
+  rc.spill_dir = dir.string();
+  exec::PlanRegistry registry(rc);
+
+  const cvecf img = testing::random_image(f.g.image_elems(), 5);
+  cvecf ref(static_cast<std::size_t>(f.set.count()));
+  ThreadPool pool(1);
+  {
+    const auto plan = registry.acquire(f.g, f.set, f.cfg);
+    Workspace ws = plan->make_workspace();
+    plan->forward(img.data(), ref.data(), ws, pool);
+  }
+  registry.acquire(f.g, other, f.cfg);
+  ASSERT_EQ(registry.stats().spills, 1u);
+
+  // Rewrite the one spill file as v3, keeping its container checksum valid
+  // (FileHeader: magic, version, payload bytes, FNV-1a of the payload).
+  const auto path = std::filesystem::directory_iterator(dir)->path();
+  std::vector<std::uint8_t> file(std::filesystem::file_size(path));
+  {
+    std::ifstream in(path, std::ios::binary);
+    in.read(reinterpret_cast<char*>(file.data()), static_cast<std::streamsize>(file.size()));
+  }
+  constexpr std::size_t kHeader = 2 * sizeof(std::uint32_t) + 2 * sizeof(std::uint64_t);
+  const auto payload = as_v3_blob(std::vector<std::uint8_t>(file.begin() + kHeader, file.end()),
+                                  f.g, f.cfg);
+  std::uint64_t bytes = payload.size();
+  std::uint64_t checksum = 0xcbf29ce484222325ull;
+  for (const std::uint8_t b : payload) {
+    checksum ^= b;
+    checksum *= 0x100000001b3ull;
+  }
+  std::memcpy(file.data() + 2 * sizeof(std::uint32_t), &bytes, sizeof(bytes));
+  std::memcpy(file.data() + 2 * sizeof(std::uint32_t) + sizeof(bytes), &checksum,
+              sizeof(checksum));
+  file.resize(kHeader);
+  file.insert(file.end(), payload.begin(), payload.end());
+  {
+    std::ofstream out(path, std::ios::binary | std::ios::trunc);
+    out.write(reinterpret_cast<const char*>(file.data()), static_cast<std::streamsize>(file.size()));
+  }
+  EXPECT_EQ(load_error_code(path.string(), f.g, f.set, f.cfg), ErrorCode::kIoCorruption);
+
+  const auto rebuilt = registry.acquire(f.g, f.set, f.cfg);
+  const auto st = registry.stats();
+  EXPECT_EQ(st.spill_restores, 0u);
+  EXPECT_EQ(st.corrupt_spills, 1u);
+  cvecf got(ref.size());
+  Workspace ws = rebuilt->make_workspace();
+  rebuilt->forward(img.data(), got.data(), ws, pool);
+  EXPECT_EQ(std::memcmp(got.data(), ref.data(), ref.size() * sizeof(cfloat)), 0);
+  std::filesystem::remove_all(dir);
 }
 
 TEST(PlanCache, CorruptSpillFileIsDetectedByChecksum) {
