@@ -7,8 +7,8 @@
 // (kernels/horner_avx2.cpp). The second half times the bound constexpr-W
 // variant against the runtime-width entry of the same (backend, dim,
 // evaluator) — the whole sample loop, called directly over a plan's task
-// ranges on one thread, at nb = 1 and nb = 4 slabs — on the LUT and Horner
-// configurations; results go to BENCH_abla_horner.json (window rows
+// ranges on one thread, at nb = 1 and nb = 4 interleaved grids — on the LUT
+// and Horner configurations; results go to BENCH_abla_horner.json (window rows
 // "w4".."w8", loop rows "<eval>.d<dim>.nb<nb>").
 //
 // This TU is deliberately compiled at the baseline ISA (see
@@ -124,7 +124,6 @@ int main() {
     const auto dset = make_set(datasets::TrajectoryType::kRandom, row, dim);
     const GridDesc dg = make_grid(dim, row.n, 2.0);
     const auto st = dg.grid_strides();
-    const auto slab = static_cast<std::size_t>(dg.grid_elems());
     for (const bool use_horner : {false, true}) {
       PlanConfig cfg = optimized_config(1);
       cfg.isa = SimdIsa::kAuto;
@@ -141,7 +140,7 @@ int main() {
         const cvecf grids = random_values(nb * dg.grid_elems(), 1);
         const cvecf raws = random_values(nb * dset.count(), 2);
         cvecf outs(raws.size());
-        cvecf slabs(grids.size());
+        cvecf spread_grids(grids.size());
         std::vector<const cfloat*> in;
         std::vector<cfloat*> out;
         for (index_t b = 0; b < nb; ++b) {
@@ -151,14 +150,14 @@ int main() {
         const auto time_interp = [&](const ConvVariant& v) {
           return time_call([&] {
             for (const ConvTask& task : plan.plan().tasks) {
-              v.interp(plan.conv_range(task, false), grids.data(), slab, nb, st, out.data());
+              v.interp(plan.conv_range(task, false), grids.data(), nb, st, out.data());
             }
           });
         };
         const auto time_spread = [&](const ConvVariant& v) {
           return time_call([&] {
             for (const ConvTask& task : plan.plan().tasks) {
-              v.spread(plan.conv_range(task, false), in.data(), nb, slabs.data(), slab, st);
+              v.spread(plan.conv_range(task, false), in.data(), nb, spread_grids.data(), st);
             }
           });
         };

@@ -4,7 +4,8 @@
 // against B sequential single applies on the same plan and thread count.
 // Expected shape: the batch path pulls ahead monotonically with B — ≥2× at
 // B = 8 on the radial Table I dataset — as the per-transform fixed costs
-// amortize.
+// amortize. Each B row also records the batched apply's phase split (scale,
+// FFT, convolution of forward and adjoint) from the fastest repetition.
 #include <cstdio>
 
 #include "common.hpp"
@@ -31,7 +32,8 @@ int main() {
   cvecf raw_out(static_cast<std::size_t>(kMaxB * ns));
   cvecf img_out(static_cast<std::size_t>(kMaxB * ne));
 
-  std::printf("%4s  %14s  %14s  %8s\n", "B", "seq pairs/s", "batch pairs/s", "speedup");
+  std::printf("%4s  %14s  %14s  %8s  %26s  %26s\n", "B", "seq pairs/s", "batch pairs/s",
+              "speedup", "fwd scale/fft/conv (s)", "adj scale/fft/conv (s)");
   BenchReport report("batch_throughput");
   for (const index_t B : {1, 2, 4, 8, 16}) {
     const double t_seq = time_call([&] {
@@ -42,19 +44,35 @@ int main() {
     });
 
     exec::BatchNufft batch(plan, B);
+    OperatorStats fwd, adj;
+    double best = 1e300;
     const double t_batch = time_call([&] {
       batch.forward(images.data(), raw_out.data(), B);
       batch.adjoint(raws.data(), img_out.data(), B);
+      const OperatorStats& f = batch.last_forward_stats();
+      const OperatorStats& a = batch.last_adjoint_stats();
+      if (f.total_s + a.total_s < best) {
+        best = f.total_s + a.total_s;
+        fwd = f;
+        adj = a;
+      }
     });
 
     const double seq_rate = static_cast<double>(B) / t_seq;
     const double batch_rate = static_cast<double>(B) / t_batch;
-    std::printf("%4lld  %14.2f  %14.2f  %7.2fx\n", static_cast<long long>(B), seq_rate,
-                batch_rate, batch_rate / seq_rate);
+    std::printf("%4lld  %14.2f  %14.2f  %7.2fx  %8.4f/%8.4f/%8.4f  %8.4f/%8.4f/%8.4f\n",
+                static_cast<long long>(B), seq_rate, batch_rate, batch_rate / seq_rate,
+                fwd.scale_s, fwd.fft_s, fwd.conv_s, adj.scale_s, adj.fft_s, adj.conv_s);
     report.add("B=" + std::to_string(B), {{"batch", static_cast<double>(B)},
                                           {"seq_pairs_per_s", seq_rate},
                                           {"batch_pairs_per_s", batch_rate},
-                                          {"speedup", batch_rate / seq_rate}});
+                                          {"speedup", batch_rate / seq_rate},
+                                          {"fwd_scale_s", fwd.scale_s},
+                                          {"fwd_fft_s", fwd.fft_s},
+                                          {"fwd_conv_s", fwd.conv_s},
+                                          {"adj_scale_s", adj.scale_s},
+                                          {"adj_fft_s", adj.fft_s},
+                                          {"adj_conv_s", adj.conv_s}});
   }
   report.write();
   return 0;

@@ -20,10 +20,10 @@
 // entry of the same (backend, dim, evaluator) — enforced by the `dispatch`
 // test label — so which one binds is a pure performance decision.
 //
-// Every variant takes the slab count: nb = 1 is the single-RHS loop; nb ≥ 2
-// stages the windows of a block of consecutive samples once and sweeps it
-// over groups of slabs with the multi-slab Part-2 kernels (batch-major
-// slabs, slab b at base + b·slab_stride; see DESIGN.md §7).
+// Every variant takes the grid count nb: nb = 1 is the single-RHS loop;
+// nb ≥ 2 runs the same loop over nb cell-interleaved grids (lane b of cell c
+// at grid[c·nb + b]; see DESIGN.md §7), applying each sample's window to all
+// nb lanes of a cell with the lane kernels of core/convolution.hpp.
 //
 // Selection happens once in the Nufft constructor (after the tolerance and
 // ISA resolution) and is recorded in PlanStats and an obs counter.
@@ -88,17 +88,16 @@ struct ConvRange {
   const index_t* box_lo = nullptr;
 };
 
-/// Adjoint Part 1+2 over one sample range and nb ≤ kMaxBatch slabs: scatter
-/// raws[b][orig_index[i]]·window into dst + b·slab_stride.
+/// Adjoint Part 1+2 over one sample range into nb ≤ kMaxBatch
+/// cell-interleaved grids: add raws[b][orig_index[i]]·window into lane b of
+/// dst. `strides` are in cells.
 using ConvSpreadFn = void (*)(const ConvRange&, const cfloat* const* raws, index_t nb,
-                              cfloat* dst, std::size_t slab_stride,
-                              const std::array<index_t, 3>& strides);
-/// Forward Part 1+2 over one sample range and nb ≤ kMaxBatch slabs: gather
-/// the weighted neighbour sum of each sample from grid + b·slab_stride into
+                              cfloat* dst, const std::array<index_t, 3>& strides);
+/// Forward Part 1+2 over one sample range from nb ≤ kMaxBatch
+/// cell-interleaved grids: the weighted neighbour sum of lane b into
 /// outs[b][orig_index[i]].
-using ConvInterpFn = void (*)(const ConvRange&, const cfloat* grid, std::size_t slab_stride,
-                              index_t nb, const std::array<index_t, 3>& strides,
-                              cfloat* const* outs);
+using ConvInterpFn = void (*)(const ConvRange&, const cfloat* grid, index_t nb,
+                              const std::array<index_t, 3>& strides, cfloat* const* outs);
 
 struct ConvVariant {
   ConvVariantKey key;

@@ -6,7 +6,7 @@
 // runtime-width entry (W2 = 0) and the constexpr-W entries differ only in
 // Part 1 (compute_window vs window_spec). Bit-identity contract: for every
 // (backend, dim, evaluator), each constexpr-W variant must produce
-// bit-identical grids and samples to the runtime-width variant, at any slab
+// bit-identical grids and samples to the runtime-width variant, at any lane
 // count. Two rules keep that true:
 //
 //   1. The window geometry (float-rounding trim, modular wrap) comes from
@@ -28,7 +28,6 @@
 // riding the scalar recurrence.
 #pragma once
 
-#include <algorithm>
 #include <vector>
 
 #include "common/error.hpp"
@@ -99,130 +98,82 @@ inline void rebase_box(const index_t* box_lo, WindowBuf& wb) {
 
 /// Part 1 for reordered sample i of the range: the constexpr-W window, or
 /// compute_window for the runtime-width entry (W2 = 0); box-rebased for
-/// privatized ranges. Forced inline (with window_spec): it runs once per
-/// sample, and each variant calls it from several loops, which would
+/// privatized ranges. `fill_dup` builds the pair-duplicated weights the
+/// single-grid SIMD kernels read. Forced inline (with window_spec): it runs
+/// once per sample, and each variant calls it from two loops, which would
 /// otherwise push it out of line.
 template <ConvBackend B, int DIM, int W2, bool HORNER>
-[[gnu::always_inline]] inline void range_window(const ConvRange& a, index_t i, WindowBuf& wb) {
-  constexpr bool kFillDup = B != ConvBackend::kScalar;
+[[gnu::always_inline]] inline void range_window(const ConvRange& a, index_t i, bool fill_dup,
+                                                WindowBuf& wb) {
   float coord[3];
   for (int d = 0; d < DIM; ++d) {
     coord[d] = a.coords[static_cast<std::size_t>(d)][static_cast<std::size_t>(i)];
   }
   if constexpr (W2 == 0) {
-    compute_window(*a.g, a.ev, coord, DIM, kFillDup, wb);
+    compute_window(*a.g, a.ev, coord, DIM, fill_dup, wb);
   } else {
     window_spec<DIM, W2, HORNER, B == ConvBackend::kAvx2 && HORNER>(*a.g, a.ev, coord,
-                                                                    kFillDup, wb);
+                                                                    fill_dup, wb);
   }
   if (a.box_lo != nullptr) rebase_box<DIM>(a.box_lo, wb);
 }
 
-// Multi-slab loop blocking (nb ≥ 2): windows for kSampleBlock consecutive
-// (sorted) samples are staged once, then swept over kSlabGroup slabs at a
-// time. The block's windows overlap heavily after bucket sorting, so the
-// touched grid region of a slab group stays cache-resident across the whole
-// block, while the group width keeps the per-row weight-vector build
-// amortized over several slices. Per-slab sample order is unchanged, so the
-// scalar backend accumulates exactly like nb single applies.
-inline constexpr index_t kSampleBlock = 32;
-inline constexpr index_t kSlabGroup = 8;
+/// The lane kernels of backend B for nb cell-interleaved grids.
+template <ConvBackend B, int DIM>
+LaneKernels lane_kernels(index_t nb) {
+  if constexpr (B == ConvBackend::kScalar) {
+    return lane_kernels_scalar<DIM>(nb);
+  } else if constexpr (B == ConvBackend::kSse) {
+    return lane_kernels_sse<DIM>(nb);
+  } else {
+    return lane_kernels_avx2<DIM>(nb);
+  }
+}
 
-// The nb ≥ 2 bodies live out of line so the single-RHS loops below keep the
-// compact codegen of a loop with one Part-1 call site.
+// nb ≥ 2: the nb grids are cell-interleaved, so the loop has the
+// single-grid shape — one window per sample, applied by a lane kernel to
+// every lane of each cell it covers. Out of line so the single-grid loops
+// below keep the compact codegen of a loop with one Part-1 call site.
 template <ConvBackend B, int DIM, int W2, bool HORNER>
-[[gnu::noinline]] void spread_block(const ConvRange& a, const cfloat* const* raws, index_t nb,
-                                    cfloat* dst, std::size_t slab_stride,
-                                    const std::array<index_t, 3>& strides) {
-  std::vector<WindowBuf> wbs(static_cast<std::size_t>(kSampleBlock));
-  std::vector<cfloat> vals(static_cast<std::size_t>(kSampleBlock * kMaxBatch));
-  for (index_t s0 = a.begin; s0 < a.end; s0 += kSampleBlock) {
-    const index_t sb = std::min<index_t>(kSampleBlock, a.end - s0);
-    for (index_t i = 0; i < sb; ++i) {
-      range_window<B, DIM, W2, HORNER>(a, s0 + i, wbs[static_cast<std::size_t>(i)]);
-      const index_t oi = a.orig_index[static_cast<std::size_t>(s0 + i)];
-      for (index_t b = 0; b < nb; ++b) {
-        vals[static_cast<std::size_t>(i * kMaxBatch + b)] = raws[b][oi];
-      }
-    }
-    if constexpr (B == ConvBackend::kScalar) {
-      for (index_t b = 0; b < nb; ++b) {
-        cfloat* slab = dst + static_cast<std::size_t>(b) * slab_stride;
-        for (index_t i = 0; i < sb; ++i) {
-          adj_scatter_scalar<DIM>(slab, strides, wbs[static_cast<std::size_t>(i)],
-                                  vals[static_cast<std::size_t>(i * kMaxBatch + b)]);
-        }
-      }
-    } else {
-      for (index_t b0 = 0; b0 < nb; b0 += kSlabGroup) {
-        const index_t gnb = std::min<index_t>(kSlabGroup, nb - b0);
-        cfloat* gdst = dst + static_cast<std::size_t>(b0) * slab_stride;
-        for (index_t i = 0; i < sb; ++i) {
-          const WindowBuf& wb = wbs[static_cast<std::size_t>(i)];
-          const cfloat* v = vals.data() + static_cast<std::size_t>(i * kMaxBatch + b0);
-          if constexpr (B == ConvBackend::kSse) {
-            badj_scatter_sse<DIM>(gdst, slab_stride, gnb, strides, wb, v);
-          } else {
-            badj_scatter_avx2<DIM>(gdst, slab_stride, gnb, strides, wb, v);
-          }
-        }
-      }
-    }
+[[gnu::noinline]] void spread_lanes(const ConvRange& a, const cfloat* const* raws, index_t nb,
+                                    cfloat* dst, const std::array<index_t, 3>& strides) {
+  const LaneScatterFn scatter = lane_kernels<B, DIM>(nb).scatter;
+  WindowBuf wb;
+  cfloat vals[kMaxBatch];
+  for (index_t i = a.begin; i < a.end; ++i) {
+    range_window<B, DIM, W2, HORNER>(a, i, false, wb);
+    const index_t oi = a.orig_index[static_cast<std::size_t>(i)];
+    for (index_t b = 0; b < nb; ++b) vals[b] = raws[b][oi];
+    scatter(dst, strides, wb, vals);
   }
 }
 
 template <ConvBackend B, int DIM, int W2, bool HORNER>
-[[gnu::noinline]] void interp_block(const ConvRange& a, const cfloat* grid,
-                                    std::size_t slab_stride, index_t nb,
+[[gnu::noinline]] void interp_lanes(const ConvRange& a, const cfloat* grid, index_t nb,
                                     const std::array<index_t, 3>& strides, cfloat* const* outs) {
-  std::vector<WindowBuf> wbs(static_cast<std::size_t>(kSampleBlock));
-  std::vector<index_t> ois(static_cast<std::size_t>(kSampleBlock));
-  cfloat gouts[kMaxBatch];
-  for (index_t s0 = a.begin; s0 < a.end; s0 += kSampleBlock) {
-    const index_t sb = std::min<index_t>(kSampleBlock, a.end - s0);
-    for (index_t i = 0; i < sb; ++i) {
-      range_window<B, DIM, W2, HORNER>(a, s0 + i, wbs[static_cast<std::size_t>(i)]);
-      ois[static_cast<std::size_t>(i)] = a.orig_index[static_cast<std::size_t>(s0 + i)];
-    }
-    if constexpr (B == ConvBackend::kScalar) {
-      for (index_t b = 0; b < nb; ++b) {
-        const cfloat* slab = grid + static_cast<std::size_t>(b) * slab_stride;
-        cfloat* out = outs[b];
-        for (index_t i = 0; i < sb; ++i) {
-          out[ois[static_cast<std::size_t>(i)]] =
-              fwd_gather_scalar<DIM>(slab, strides, wbs[static_cast<std::size_t>(i)]);
-        }
-      }
-    } else {
-      for (index_t b0 = 0; b0 < nb; b0 += kSlabGroup) {
-        const index_t gnb = std::min<index_t>(kSlabGroup, nb - b0);
-        const cfloat* gslab = grid + static_cast<std::size_t>(b0) * slab_stride;
-        for (index_t i = 0; i < sb; ++i) {
-          const WindowBuf& wb = wbs[static_cast<std::size_t>(i)];
-          if constexpr (B == ConvBackend::kSse) {
-            bfwd_gather_sse<DIM>(gslab, slab_stride, gnb, strides, wb, gouts);
-          } else {
-            bfwd_gather_avx2<DIM>(gslab, slab_stride, gnb, strides, wb, gouts);
-          }
-          const index_t oi = ois[static_cast<std::size_t>(i)];
-          for (index_t b = 0; b < gnb; ++b) outs[b0 + b][oi] = gouts[b];
-        }
-      }
-    }
+  const LaneGatherFn gather = lane_kernels<B, DIM>(nb).gather;
+  WindowBuf wb;
+  cfloat vals[kMaxBatch];
+  for (index_t i = a.begin; i < a.end; ++i) {
+    range_window<B, DIM, W2, HORNER>(a, i, false, wb);
+    gather(grid, strides, wb, vals);
+    const index_t oi = a.orig_index[static_cast<std::size_t>(i)];
+    for (index_t b = 0; b < nb; ++b) outs[b][oi] = vals[b];
   }
 }
 
 template <ConvBackend B, int DIM, int W2, bool HORNER>
 void spread_range(const ConvRange& a, const cfloat* const* raws, index_t nb, cfloat* dst,
-                  std::size_t slab_stride, const std::array<index_t, 3>& strides) {
+                  const std::array<index_t, 3>& strides) {
   if (nb > 1) {
-    spread_block<B, DIM, W2, HORNER>(a, raws, nb, dst, slab_stride, strides);
+    spread_lanes<B, DIM, W2, HORNER>(a, raws, nb, dst, strides);
     return;
   }
+  constexpr bool kFillDup = B != ConvBackend::kScalar;
   const cfloat* raw = raws[0];
   WindowBuf wb;
   for (index_t i = a.begin; i < a.end; ++i) {
-    range_window<B, DIM, W2, HORNER>(a, i, wb);
+    range_window<B, DIM, W2, HORNER>(a, i, kFillDup, wb);
     const cfloat v = raw[a.orig_index[static_cast<std::size_t>(i)]];
     if constexpr (B == ConvBackend::kScalar) {
       adj_scatter_scalar<DIM>(dst, strides, wb, v);
@@ -235,16 +186,17 @@ void spread_range(const ConvRange& a, const cfloat* const* raws, index_t nb, cfl
 }
 
 template <ConvBackend B, int DIM, int W2, bool HORNER>
-void interp_range(const ConvRange& a, const cfloat* grid, std::size_t slab_stride, index_t nb,
+void interp_range(const ConvRange& a, const cfloat* grid, index_t nb,
                   const std::array<index_t, 3>& strides, cfloat* const* outs) {
   if (nb > 1) {
-    interp_block<B, DIM, W2, HORNER>(a, grid, slab_stride, nb, strides, outs);
+    interp_lanes<B, DIM, W2, HORNER>(a, grid, nb, strides, outs);
     return;
   }
+  constexpr bool kFillDup = B != ConvBackend::kScalar;
   cfloat* out = outs[0];
   WindowBuf wb;
   for (index_t i = a.begin; i < a.end; ++i) {
-    range_window<B, DIM, W2, HORNER>(a, i, wb);
+    range_window<B, DIM, W2, HORNER>(a, i, kFillDup, wb);
     cfloat v;
     if constexpr (B == ConvBackend::kScalar) {
       v = fwd_gather_scalar<DIM>(grid, strides, wb);

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <utility>
 
 #include "common/error.hpp"
 #include "core/window_span.hpp"
@@ -240,147 +241,253 @@ template cfloat fwd_gather_simd<1>(const cfloat*, const std::array<index_t, 3>&,
 template cfloat fwd_gather_simd<2>(const cfloat*, const std::array<index_t, 3>&, const WindowBuf&);
 template cfloat fwd_gather_simd<3>(const cfloat*, const std::array<index_t, 3>&, const WindowBuf&);
 
-// ---- multi-slab kernels (batched applies) ----
+// ---- lane kernels (batched applies, cell-interleaved grids) ----
 
 namespace {
 
-using simd::Vec4f;
-
-// One weighted row, scattered into all nb slabs. The weight vectors
-// win_dup·wxy are built once and reused across the slice loop; the single
-// kernels rebuild them for every apply.
-inline void badj_row_sse(cfloat* row0, std::size_t sstride, index_t nb, const WindowBuf& wb,
-                         int last, float wxy, const Vec4f* vsplat, const cfloat* vals) {
-  const int len = wb.len[last];
-  if (!wb.inner_contiguous) {
-    // Wrapped windows take the indexed path (boundary samples only).
-    for (index_t b = 0; b < nb; ++b) {
-      cfloat* row = row0 + sstride * static_cast<std::size_t>(b);
-      const cfloat tmp = vals[b] * wxy;
-      for (int t = 0; t < len; ++t) row[wb.idx[last][t]] += tmp * wb.win[last][t];
-    }
-    return;
-  }
-  const int pairs = len / 2;
-  const Vec4f wxyv(wxy);
-  Vec4f wv[WindowBuf::kMaxLen / 2];
-  for (int j = 0; j < pairs; ++j) wv[j] = Vec4f::load(wb.win_dup + 4 * j) * wxyv;
-  const bool odd = (len & 1) != 0;
-  const float wt = odd ? wxy * wb.win[last][len - 1] : 0.0f;
-  cfloat* cell0 = row0 + wb.idx[last][0];
-  for (index_t b = 0; b < nb; ++b) {
-    cfloat* cell = cell0 + sstride * static_cast<std::size_t>(b);
-    auto* p = reinterpret_cast<float*>(cell);
-    for (int j = 0; j < pairs; ++j) {
-      simd::madd(vsplat[b], wv[j], Vec4f::loadu(p + 4 * j)).storeu(p + 4 * j);
-    }
-    if (odd) cell[len - 1] += vals[b] * wt;
+// Scalar: each lane runs adj_inner_scalar / fwd_inner_scalar's operations
+// in their order; the lane loop is innermost so one pass over the window
+// serves every lane.
+template <int L>
+NUFFT_SCALAR_CODEGEN inline void ladj_row_scalar(cfloat* row, const WindowBuf& wb, int last,
+                                                 const cfloat* tmp) {
+  for (int t = 0; t < wb.len[last]; ++t) {
+    cfloat* cell = row + wb.idx[last][t] * L;
+    const float w = wb.win[last][t];
+    for (int b = 0; b < L; ++b) cell[b] += tmp[b] * w;
   }
 }
 
-// One weighted row, gathered from all nb slabs into the per-slice vector
-// accumulators (pair-summed by the caller). Odd-tail and wrapped-window
-// contributions go to the scalar accumulators `touts`.
-inline void bfwd_row_sse(const cfloat* row0, std::size_t sstride, index_t nb,
-                         const WindowBuf& wb, int last, float wxy, Vec4f* accs, cfloat* touts) {
-  const int len = wb.len[last];
-  if (!wb.inner_contiguous) {
-    for (index_t b = 0; b < nb; ++b) {
-      const cfloat* row = row0 + sstride * static_cast<std::size_t>(b);
-      cfloat acc(0.0f, 0.0f);
-      for (int t = 0; t < len; ++t) acc += row[wb.idx[last][t]] * wb.win[last][t];
-      touts[b] += acc * wxy;
+template <int L>
+NUFFT_SCALAR_CODEGEN inline void lfwd_row_scalar(const cfloat* row, const WindowBuf& wb,
+                                                 int last, cfloat* racc) {
+  for (int b = 0; b < L; ++b) racc[b] = cfloat(0.0f, 0.0f);
+  for (int t = 0; t < wb.len[last]; ++t) {
+    const cfloat* cell = row + wb.idx[last][t] * L;
+    const float w = wb.win[last][t];
+    for (int b = 0; b < L; ++b) racc[b] += cell[b] * w;
+  }
+}
+
+template <int DIM, int L>
+NUFFT_SCALAR_CODEGEN void ladj_scatter_scalar(cfloat* grid, const std::array<index_t, 3>& strides,
+                                              const WindowBuf& wb, const cfloat* vals) {
+  constexpr int last = DIM - 1;
+  if constexpr (DIM == 1) {
+    ladj_row_scalar<L>(grid, wb, last, vals);
+  } else {
+    cfloat tmp[L];
+    for (int ix = 0; ix < wb.len[0]; ++ix) {
+      cfloat* base = grid + wb.idx[0][ix] * strides[0] * L;
+      const float wx = wb.win[0][ix];
+      if constexpr (DIM == 2) {
+        for (int b = 0; b < L; ++b) tmp[b] = vals[b] * wx;
+        ladj_row_scalar<L>(base, wb, last, tmp);
+      } else {
+        for (int iy = 0; iy < wb.len[1]; ++iy) {
+          const float wxy = wx * wb.win[1][iy];
+          for (int b = 0; b < L; ++b) tmp[b] = vals[b] * wxy;
+          ladj_row_scalar<L>(base + wb.idx[1][iy] * strides[1] * L, wb, last, tmp);
+        }
+      }
     }
-    return;
   }
-  const int pairs = len / 2;
-  const Vec4f wxyv(wxy);
-  Vec4f wv[WindowBuf::kMaxLen / 2];
-  for (int j = 0; j < pairs; ++j) wv[j] = Vec4f::load(wb.win_dup + 4 * j) * wxyv;
-  const bool odd = (len & 1) != 0;
-  const float wt = odd ? wxy * wb.win[last][len - 1] : 0.0f;
-  const cfloat* cell0 = row0 + wb.idx[last][0];
-  for (index_t b = 0; b < nb; ++b) {
-    const cfloat* cell = cell0 + sstride * static_cast<std::size_t>(b);
-    const auto* p = reinterpret_cast<const float*>(cell);
-    Vec4f acc = accs[b];
-    for (int j = 0; j < pairs; ++j) acc = simd::madd(Vec4f::loadu(p + 4 * j), wv[j], acc);
-    accs[b] = acc;
-    if (odd) touts[b] += cell[len - 1] * wt;
+}
+
+template <int DIM, int L>
+NUFFT_SCALAR_CODEGEN void lfwd_gather_scalar(const cfloat* grid,
+                                             const std::array<index_t, 3>& strides,
+                                             const WindowBuf& wb, cfloat* outs) {
+  constexpr int last = DIM - 1;
+  if constexpr (DIM == 1) {
+    lfwd_row_scalar<L>(grid, wb, last, outs);
+  } else {
+    cfloat racc[L];
+    for (int b = 0; b < L; ++b) outs[b] = cfloat(0.0f, 0.0f);
+    for (int ix = 0; ix < wb.len[0]; ++ix) {
+      const cfloat* base = grid + wb.idx[0][ix] * strides[0] * L;
+      const float wx = wb.win[0][ix];
+      if constexpr (DIM == 2) {
+        lfwd_row_scalar<L>(base, wb, last, racc);
+        for (int b = 0; b < L; ++b) outs[b] += racc[b] * wx;
+      } else {
+        for (int iy = 0; iy < wb.len[1]; ++iy) {
+          const float wxy = wx * wb.win[1][iy];
+          lfwd_row_scalar<L>(base + wb.idx[1][iy] * strides[1] * L, wb, last, racc);
+          for (int b = 0; b < L; ++b) outs[b] += racc[b] * wxy;
+        }
+      }
+    }
   }
+}
+
+using simd::Vec4f;
+
+// The L lanes of one cell in SSE registers: L/2 whole registers of two
+// complex lanes, then an odd last lane in the low half of one more.
+template <int L>
+struct SseCell {
+  static constexpr int kVec = L / 2;
+  static constexpr int kRegs = kVec + (L & 1);
+  Vec4f r[kRegs];
+
+  static SseCell load(const cfloat* c) {
+    SseCell x;
+    const auto* f = reinterpret_cast<const float*>(c);
+#pragma GCC unroll 16
+    for (int j = 0; j < kVec; ++j) x.r[j] = Vec4f::loadu(f + 4 * j);
+    if constexpr ((L & 1) != 0) {
+      x.r[kVec] =
+          Vec4f(_mm_loadl_pi(_mm_setzero_ps(), reinterpret_cast<const __m64*>(f + 4 * kVec)));
+    }
+    return x;
+  }
+  void store(cfloat* c) const {
+    auto* f = reinterpret_cast<float*>(c);
+#pragma GCC unroll 16
+    for (int j = 0; j < kVec; ++j) r[j].storeu(f + 4 * j);
+    if constexpr ((L & 1) != 0) _mm_storel_pi(reinterpret_cast<__m64*>(f + 4 * kVec), r[kVec].v);
+  }
+  static SseCell zero() { return SseCell{}; }  // Vec4f() is zero
+  /// a·w + c per lane (separate multiply and add, as the scalar kernel).
+  static SseCell madd(const SseCell& a, Vec4f w, const SseCell& c) {
+    SseCell x;
+#pragma GCC unroll 16
+    for (int j = 0; j < kRegs; ++j) x.r[j] = simd::madd(a.r[j], w, c.r[j]);
+    return x;
+  }
+  static SseCell mul(const SseCell& a, Vec4f w) {
+    SseCell x;
+#pragma GCC unroll 16
+    for (int j = 0; j < kRegs; ++j) x.r[j] = a.r[j] * w;
+    return x;
+  }
+};
+
+template <int DIM, int L>
+void ladj_scatter_sse(cfloat* grid, const std::array<index_t, 3>& strides, const WindowBuf& wb,
+                      const cfloat* vals) {
+  using Cell = SseCell<L>;
+  constexpr int last = DIM - 1;
+  const int len = wb.len[last];
+  __m128 w[WindowBuf::kMaxLen];  // splat weights (uninitialized past len)
+  for (int t = 0; t < len; ++t) w[t] = _mm_set1_ps(wb.win[last][t]);
+  const auto row = [&](cfloat* r, const Cell& tmp) {
+    for (int t = 0; t < len; ++t) {
+      cfloat* cell = r + wb.idx[last][t] * L;
+      Cell::madd(tmp, Vec4f(w[t]), Cell::load(cell)).store(cell);
+    }
+  };
+  const Cell v = Cell::load(vals);
+  if constexpr (DIM == 1) {
+    row(grid, v);
+  } else {
+    for (int ix = 0; ix < wb.len[0]; ++ix) {
+      cfloat* base = grid + wb.idx[0][ix] * strides[0] * L;
+      const float wx = wb.win[0][ix];
+      if constexpr (DIM == 2) {
+        row(base, Cell::mul(v, Vec4f(wx)));
+      } else {
+        for (int iy = 0; iy < wb.len[1]; ++iy) {
+          row(base + wb.idx[1][iy] * strides[1] * L, Cell::mul(v, Vec4f(wx * wb.win[1][iy])));
+        }
+      }
+    }
+  }
+}
+
+template <int DIM, int L>
+void lfwd_gather_sse(const cfloat* grid, const std::array<index_t, 3>& strides,
+                     const WindowBuf& wb, cfloat* outs) {
+  using Cell = SseCell<L>;
+  constexpr int last = DIM - 1;
+  const int len = wb.len[last];
+  __m128 w[WindowBuf::kMaxLen];  // splat weights (uninitialized past len)
+  for (int t = 0; t < len; ++t) w[t] = _mm_set1_ps(wb.win[last][t]);
+  // Each row's sum is a chain of dependent adds; rows are summed two at a
+  // time so the two chains overlap. Each keeps its own order, and the rows
+  // are added into the window sum in turn.
+  const auto rows = [&](const cfloat* ra, const cfloat* rb, Cell& sa, Cell& sb) {
+    sa = Cell::zero();
+    sb = Cell::zero();
+    for (int t = 0; t < len; ++t) {
+      const index_t off = wb.idx[last][t] * L;
+      sa = Cell::madd(Cell::load(ra + off), Vec4f(w[t]), sa);
+      sb = Cell::madd(Cell::load(rb + off), Vec4f(w[t]), sb);
+    }
+  };
+  const auto row = [&](const cfloat* r) {
+    Cell acc = Cell::zero();
+    for (int t = 0; t < len; ++t) {
+      acc = Cell::madd(Cell::load(r + wb.idx[last][t] * L), Vec4f(w[t]), acc);
+    }
+    return acc;
+  };
+  // Rows r(i) weighted by wt(i), i < n, summed in order into acc.
+  const auto sweep = [&](Cell& acc, int n, const auto& r, const auto& wt) {
+    int i = 0;
+    for (; i + 1 < n; i += 2) {
+      Cell sa, sb;
+      rows(r(i), r(i + 1), sa, sb);
+      acc = Cell::madd(sa, Vec4f(wt(i)), acc);
+      acc = Cell::madd(sb, Vec4f(wt(i + 1)), acc);
+    }
+    if (i < n) acc = Cell::madd(row(r(i)), Vec4f(wt(i)), acc);
+  };
+  if constexpr (DIM == 1) {
+    row(grid).store(outs);
+  } else {
+    Cell acc = Cell::zero();
+    if constexpr (DIM == 2) {
+      sweep(
+          acc, wb.len[0], [&](int i) { return grid + wb.idx[0][i] * strides[0] * L; },
+          [&](int i) { return wb.win[0][i]; });
+    } else {
+      for (int ix = 0; ix < wb.len[0]; ++ix) {
+        const cfloat* base = grid + wb.idx[0][ix] * strides[0] * L;
+        const float wx = wb.win[0][ix];
+        sweep(
+            acc, wb.len[1], [&](int i) { return base + wb.idx[1][i] * strides[1] * L; },
+            [&](int i) { return wx * wb.win[1][i]; });
+      }
+    }
+    acc.store(outs);
+  }
+}
+
+template <int DIM, std::size_t... I>
+LaneKernels scalar_lane_table(index_t lanes, std::index_sequence<I...>) {
+  static constexpr LaneScatterFn kScatter[] = {&ladj_scatter_scalar<DIM, static_cast<int>(I) + 2>...};
+  static constexpr LaneGatherFn kGather[] = {&lfwd_gather_scalar<DIM, static_cast<int>(I) + 2>...};
+  return {kScatter[lanes - 2], kGather[lanes - 2]};
+}
+
+template <int DIM, std::size_t... I>
+LaneKernels sse_lane_table(index_t lanes, std::index_sequence<I...>) {
+  static constexpr LaneScatterFn kScatter[] = {&ladj_scatter_sse<DIM, static_cast<int>(I) + 2>...};
+  static constexpr LaneGatherFn kGather[] = {&lfwd_gather_sse<DIM, static_cast<int>(I) + 2>...};
+  return {kScatter[lanes - 2], kGather[lanes - 2]};
 }
 
 }  // namespace
 
 template <int DIM>
-void badj_scatter_sse(cfloat* slab0, std::size_t sstride, index_t nb,
-                      const std::array<index_t, 3>& strides, const WindowBuf& wb,
-                      const cfloat* vals) {
-  constexpr int last = DIM - 1;
-  Vec4f vsplat[kMaxBatch];
-  for (index_t b = 0; b < nb; ++b) {
-    vsplat[b] = Vec4f(vals[b].real(), vals[b].imag(), vals[b].real(), vals[b].imag());
-  }
-  if constexpr (DIM == 1) {
-    badj_row_sse(slab0, sstride, nb, wb, last, 1.0f, vsplat, vals);
-  } else if constexpr (DIM == 2) {
-    for (int iy = 0; iy < wb.len[0]; ++iy) {
-      badj_row_sse(slab0 + wb.idx[0][iy] * strides[0], sstride, nb, wb, last, wb.win[0][iy],
-                   vsplat, vals);
-    }
-  } else {
-    for (int ix = 0; ix < wb.len[0]; ++ix) {
-      cfloat* base = slab0 + wb.idx[0][ix] * strides[0];
-      const float wx = wb.win[0][ix];
-      for (int iy = 0; iy < wb.len[1]; ++iy) {
-        badj_row_sse(base + wb.idx[1][iy] * strides[1], sstride, nb, wb, last,
-                     wx * wb.win[1][iy], vsplat, vals);
-      }
-    }
-  }
+LaneKernels lane_kernels_scalar(index_t lanes) {
+  NUFFT_CHECK(lanes >= 2 && lanes <= kMaxBatch);
+  return scalar_lane_table<DIM>(lanes, std::make_index_sequence<kMaxBatch - 1>{});
 }
 
 template <int DIM>
-void bfwd_gather_sse(const cfloat* slab0, std::size_t sstride, index_t nb,
-                     const std::array<index_t, 3>& strides, const WindowBuf& wb, cfloat* outs) {
-  constexpr int last = DIM - 1;
-  Vec4f accs[kMaxBatch];
-  cfloat touts[kMaxBatch];
-  for (index_t b = 0; b < nb; ++b) touts[b] = cfloat(0.0f, 0.0f);
-  if constexpr (DIM == 1) {
-    bfwd_row_sse(slab0, sstride, nb, wb, last, 1.0f, accs, touts);
-  } else if constexpr (DIM == 2) {
-    for (int iy = 0; iy < wb.len[0]; ++iy) {
-      bfwd_row_sse(slab0 + wb.idx[0][iy] * strides[0], sstride, nb, wb, last, wb.win[0][iy],
-                   accs, touts);
-    }
-  } else {
-    for (int ix = 0; ix < wb.len[0]; ++ix) {
-      const cfloat* base = slab0 + wb.idx[0][ix] * strides[0];
-      const float wx = wb.win[0][ix];
-      for (int iy = 0; iy < wb.len[1]; ++iy) {
-        bfwd_row_sse(base + wb.idx[1][iy] * strides[1], sstride, nb, wb, last,
-                     wx * wb.win[1][iy], accs, touts);
-      }
-    }
-  }
-  for (index_t b = 0; b < nb; ++b) {
-    const Vec4f ps = accs[b].hsum_complex_pairs();
-    outs[b] = cfloat(ps[0], ps[1]) + touts[b];
-  }
+LaneKernels lane_kernels_sse(index_t lanes) {
+  NUFFT_CHECK(lanes >= 2 && lanes <= kMaxBatch);
+  return sse_lane_table<DIM>(lanes, std::make_index_sequence<kMaxBatch - 1>{});
 }
 
-template void badj_scatter_sse<1>(cfloat*, std::size_t, index_t, const std::array<index_t, 3>&,
-                                  const WindowBuf&, const cfloat*);
-template void badj_scatter_sse<2>(cfloat*, std::size_t, index_t, const std::array<index_t, 3>&,
-                                  const WindowBuf&, const cfloat*);
-template void badj_scatter_sse<3>(cfloat*, std::size_t, index_t, const std::array<index_t, 3>&,
-                                  const WindowBuf&, const cfloat*);
-template void bfwd_gather_sse<1>(const cfloat*, std::size_t, index_t,
-                                 const std::array<index_t, 3>&, const WindowBuf&, cfloat*);
-template void bfwd_gather_sse<2>(const cfloat*, std::size_t, index_t,
-                                 const std::array<index_t, 3>&, const WindowBuf&, cfloat*);
-template void bfwd_gather_sse<3>(const cfloat*, std::size_t, index_t,
-                                 const std::array<index_t, 3>&, const WindowBuf&, cfloat*);
+template LaneKernels lane_kernels_scalar<1>(index_t);
+template LaneKernels lane_kernels_scalar<2>(index_t);
+template LaneKernels lane_kernels_scalar<3>(index_t);
+template LaneKernels lane_kernels_sse<1>(index_t);
+template LaneKernels lane_kernels_sse<2>(index_t);
+template LaneKernels lane_kernels_sse<3>(index_t);
 
 }  // namespace nufft

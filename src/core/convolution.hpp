@@ -22,11 +22,15 @@
 // and SIMD results are bitwise identical. The forward SIMD path uses two
 // partial accumulators across z, so it matches scalar only to rounding.
 //
-// Multi-slab kernels (badj_scatter_* / bfwd_gather_*): weight nb values —
-// one per batch slice — through the *same* window into nb batch-major grids
-// (slab b at slab0 + b·slab_stride, each with the single-grid layout). The
-// window is computed once per sample, and the weight vectors win_dup·wxy are
-// built once per row and reused across the slice loop.
+// Lane kernels (batched applies): nb grids stored cell-interleaved — lane b
+// of cell c at grid[c·nb + b], every cell a contiguous nb-complex vector.
+// One window, computed once per sample, weights all nb lanes of each cell
+// it covers: the vector dimension is the batch, so a wrapped window needs
+// no indexed fallback. Per lane the scalar and SSE kernels perform the
+// single-grid scalar kernel's multiplies and adds in the same order (the
+// spread scales val by the outer weights once per row; the gather sums each
+// row before scaling it), so their results are bitwise those of nb
+// single-grid scalar applies; the AVX2 kernels fuse them with FMA.
 #pragma once
 
 #include <array>
@@ -39,7 +43,7 @@
 
 namespace nufft {
 
-/// Widest batch one multi-slab kernel invocation handles; batched applies
+/// Widest batch one lane-kernel invocation handles; batched applies
 /// chunk above this.
 inline constexpr index_t kMaxBatch = 16;
 
@@ -105,15 +109,24 @@ template <int DIM>
 cfloat fwd_gather_simd(const cfloat* grid, const std::array<index_t, 3>& strides,
                        const WindowBuf& wb);
 
-/// Multi-slab Part 2, adjoint: add vals[b]·weights into slab b, for b < nb.
-template <int DIM>
-void badj_scatter_sse(cfloat* slab0, std::size_t slab_stride, index_t nb,
-                      const std::array<index_t, 3>& strides, const WindowBuf& wb,
-                      const cfloat* vals);
+/// Lane Part 2, adjoint: add vals[b]·weights into lane b of every window
+/// cell. `strides` are in cells.
+using LaneScatterFn = void (*)(cfloat* grid, const std::array<index_t, 3>& strides,
+                               const WindowBuf& wb, const cfloat* vals);
+/// Lane Part 2, forward: outs[b] = weighted sum of lane b over the window.
+using LaneGatherFn = void (*)(const cfloat* grid, const std::array<index_t, 3>& strides,
+                              const WindowBuf& wb, cfloat* outs);
 
-/// Multi-slab Part 2, forward: outs[b] = Σ window cells of slab b, b < nb.
+struct LaneKernels {
+  LaneScatterFn scatter = nullptr;
+  LaneGatherFn gather = nullptr;
+};
+
+/// The lane kernels for 2 ≤ lanes ≤ kMaxBatch, one instantiation per lane
+/// count (the lane loops unroll into whole-register steps).
 template <int DIM>
-void bfwd_gather_sse(const cfloat* slab0, std::size_t slab_stride, index_t nb,
-                     const std::array<index_t, 3>& strides, const WindowBuf& wb, cfloat* outs);
+LaneKernels lane_kernels_scalar(index_t lanes);
+template <int DIM>
+LaneKernels lane_kernels_sse(index_t lanes);
 
 }  // namespace nufft

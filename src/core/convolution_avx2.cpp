@@ -1,6 +1,11 @@
 // This translation unit is compiled with -mavx2 -mfma (see src/CMakeLists).
 #include "core/convolution_avx2.hpp"
 
+#include <immintrin.h>
+
+#include <utility>
+
+#include "common/error.hpp"
 #include "simd/vec8f.hpp"
 
 namespace nufft {
@@ -116,146 +121,172 @@ template cfloat fwd_gather_avx2<1>(const cfloat*, const std::array<index_t, 3>&,
 template cfloat fwd_gather_avx2<2>(const cfloat*, const std::array<index_t, 3>&, const WindowBuf&);
 template cfloat fwd_gather_avx2<3>(const cfloat*, const std::array<index_t, 3>&, const WindowBuf&);
 
-// ---- multi-slab kernels (batched applies): weight vectors hoisted out of
-// the slice loop exactly as in the SSE versions (convolution.cpp) ----
+// ---- lane kernels (batched applies, cell-interleaved grids): the SSE
+// kernels' loop structure (convolution.cpp) with four lanes per 256-bit
+// register and FMA ----
 
 namespace {
 
-using simd::Vec8f;
+// The L lanes of one cell: L/4 256-bit quads, then a 128-bit pair and a
+// 64-bit single for the remainder.
+template <int L>
+struct AvxCell {
+  static constexpr int kQuads = L / 4;
+  static constexpr bool kPair = (L % 4) >= 2;
+  static constexpr bool kSingle = (L % 2) != 0;
+  static constexpr int kOffPair = 8 * kQuads;                  // float offsets
+  static constexpr int kOffSingle = kOffPair + (kPair ? 4 : 0);
+  __m256 q[kQuads > 0 ? kQuads : 1] = {};
+  __m128 p = {};
+  __m128 s = {};
 
-inline void badj_row_avx2(cfloat* row0, std::size_t sstride, index_t nb, const WindowBuf& wb,
-                          int last, float wxy, const Vec8f* vsplat, const cfloat* vals) {
-  const int len = wb.len[last];
-  if (!wb.inner_contiguous) {
-    for (index_t b = 0; b < nb; ++b) {
-      cfloat* row = row0 + sstride * static_cast<std::size_t>(b);
-      const cfloat tmp = vals[b] * wxy;
-      for (int t = 0; t < len; ++t) row[wb.idx[last][t]] += tmp * wb.win[last][t];
+  static AvxCell load(const cfloat* c) {
+    AvxCell x;
+    const auto* f = reinterpret_cast<const float*>(c);
+#pragma GCC unroll 4
+    for (int j = 0; j < kQuads; ++j) x.q[j] = _mm256_loadu_ps(f + 8 * j);
+    if constexpr (kPair) x.p = _mm_loadu_ps(f + kOffPair);
+    if constexpr (kSingle) {
+      x.s = _mm_loadl_pi(_mm_setzero_ps(), reinterpret_cast<const __m64*>(f + kOffSingle));
     }
-    return;
+    return x;
   }
-  const int quads = len / 4;
-  const int rem = len - 4 * quads;
-  const Vec8f wxyv(wxy);
-  Vec8f wv[WindowBuf::kMaxLen / 4 + 1];
-  for (int j = 0; j < quads; ++j) wv[j] = Vec8f::load(wb.win_dup + 8 * j) * wxyv;
-  float wtail[3];
-  for (int t = 0; t < rem; ++t) wtail[t] = wxy * wb.win[last][4 * quads + t];
-  cfloat* cell0 = row0 + wb.idx[last][0];
-  for (index_t b = 0; b < nb; ++b) {
-    cfloat* cell = cell0 + sstride * static_cast<std::size_t>(b);
-    auto* p = reinterpret_cast<float*>(cell);
-    for (int j = 0; j < quads; ++j) {
-      simd::fmadd(vsplat[b], wv[j], Vec8f::loadu(p + 8 * j)).storeu(p + 8 * j);
+  void store(cfloat* c) const {
+    auto* f = reinterpret_cast<float*>(c);
+#pragma GCC unroll 4
+    for (int j = 0; j < kQuads; ++j) _mm256_storeu_ps(f + 8 * j, q[j]);
+    if constexpr (kPair) _mm_storeu_ps(f + kOffPair, p);
+    if constexpr (kSingle) _mm_storel_pi(reinterpret_cast<__m64*>(f + kOffSingle), s);
+  }
+  static AvxCell zero() { return AvxCell{}; }
+  /// a·w + c per lane, fused.
+  static AvxCell fmadd(const AvxCell& a, __m256 w, const AvxCell& c) {
+    AvxCell x;
+    const __m128 w4 = _mm256_castps256_ps128(w);
+#pragma GCC unroll 4
+    for (int j = 0; j < kQuads; ++j) x.q[j] = _mm256_fmadd_ps(a.q[j], w, c.q[j]);
+    if constexpr (kPair) x.p = _mm_fmadd_ps(a.p, w4, c.p);
+    if constexpr (kSingle) x.s = _mm_fmadd_ps(a.s, w4, c.s);
+    return x;
+  }
+  static AvxCell mul(const AvxCell& a, __m256 w) {
+    AvxCell x;
+    const __m128 w4 = _mm256_castps256_ps128(w);
+#pragma GCC unroll 4
+    for (int j = 0; j < kQuads; ++j) x.q[j] = _mm256_mul_ps(a.q[j], w);
+    if constexpr (kPair) x.p = _mm_mul_ps(a.p, w4);
+    if constexpr (kSingle) x.s = _mm_mul_ps(a.s, w4);
+    return x;
+  }
+};
+
+template <int DIM, int L>
+void ladj_scatter_avx2(cfloat* grid, const std::array<index_t, 3>& strides, const WindowBuf& wb,
+                       const cfloat* vals) {
+  using Cell = AvxCell<L>;
+  constexpr int last = DIM - 1;
+  const int len = wb.len[last];
+  __m256 w[WindowBuf::kMaxLen];
+  for (int t = 0; t < len; ++t) w[t] = _mm256_set1_ps(wb.win[last][t]);
+  const auto row = [&](cfloat* r, const Cell& tmp) {
+    for (int t = 0; t < len; ++t) {
+      cfloat* cell = r + wb.idx[last][t] * L;
+      Cell::fmadd(tmp, w[t], Cell::load(cell)).store(cell);
     }
-    for (int t = 0; t < rem; ++t) cell[4 * quads + t] += vals[b] * wtail[t];
+  };
+  const Cell v = Cell::load(vals);
+  if constexpr (DIM == 1) {
+    row(grid, v);
+  } else {
+    for (int ix = 0; ix < wb.len[0]; ++ix) {
+      cfloat* base = grid + wb.idx[0][ix] * strides[0] * L;
+      const float wx = wb.win[0][ix];
+      if constexpr (DIM == 2) {
+        row(base, Cell::mul(v, _mm256_set1_ps(wx)));
+      } else {
+        for (int iy = 0; iy < wb.len[1]; ++iy) {
+          row(base + wb.idx[1][iy] * strides[1] * L,
+              Cell::mul(v, _mm256_set1_ps(wx * wb.win[1][iy])));
+        }
+      }
+    }
   }
 }
 
-inline void bfwd_row_avx2(const cfloat* row0, std::size_t sstride, index_t nb,
-                          const WindowBuf& wb, int last, float wxy, Vec8f* accs,
-                          cfloat* touts) {
+template <int DIM, int L>
+void lfwd_gather_avx2(const cfloat* grid, const std::array<index_t, 3>& strides,
+                      const WindowBuf& wb, cfloat* outs) {
+  using Cell = AvxCell<L>;
+  constexpr int last = DIM - 1;
   const int len = wb.len[last];
-  if (!wb.inner_contiguous) {
-    for (index_t b = 0; b < nb; ++b) {
-      const cfloat* row = row0 + sstride * static_cast<std::size_t>(b);
-      cfloat acc(0.0f, 0.0f);
-      for (int t = 0; t < len; ++t) acc += row[wb.idx[last][t]] * wb.win[last][t];
-      touts[b] += acc * wxy;
+  __m256 w[WindowBuf::kMaxLen];
+  for (int t = 0; t < len; ++t) w[t] = _mm256_set1_ps(wb.win[last][t]);
+  // Rows summed two at a time so their dependent chains overlap (as in the
+  // SSE kernel).
+  const auto rows = [&](const cfloat* ra, const cfloat* rb, Cell& sa, Cell& sb) {
+    sa = Cell::zero();
+    sb = Cell::zero();
+    for (int t = 0; t < len; ++t) {
+      const index_t off = wb.idx[last][t] * L;
+      sa = Cell::fmadd(Cell::load(ra + off), w[t], sa);
+      sb = Cell::fmadd(Cell::load(rb + off), w[t], sb);
     }
-    return;
+  };
+  const auto row = [&](const cfloat* r) {
+    Cell acc = Cell::zero();
+    for (int t = 0; t < len; ++t) {
+      acc = Cell::fmadd(Cell::load(r + wb.idx[last][t] * L), w[t], acc);
+    }
+    return acc;
+  };
+  const auto sweep = [&](Cell& acc, int n, const auto& r, const auto& wt) {
+    int i = 0;
+    for (; i + 1 < n; i += 2) {
+      Cell sa, sb;
+      rows(r(i), r(i + 1), sa, sb);
+      acc = Cell::fmadd(sa, _mm256_set1_ps(wt(i)), acc);
+      acc = Cell::fmadd(sb, _mm256_set1_ps(wt(i + 1)), acc);
+    }
+    if (i < n) acc = Cell::fmadd(row(r(i)), _mm256_set1_ps(wt(i)), acc);
+  };
+  if constexpr (DIM == 1) {
+    row(grid).store(outs);
+  } else {
+    Cell acc = Cell::zero();
+    if constexpr (DIM == 2) {
+      sweep(
+          acc, wb.len[0], [&](int i) { return grid + wb.idx[0][i] * strides[0] * L; },
+          [&](int i) { return wb.win[0][i]; });
+    } else {
+      for (int ix = 0; ix < wb.len[0]; ++ix) {
+        const cfloat* base = grid + wb.idx[0][ix] * strides[0] * L;
+        const float wx = wb.win[0][ix];
+        sweep(
+            acc, wb.len[1], [&](int i) { return base + wb.idx[1][i] * strides[1] * L; },
+            [&](int i) { return wx * wb.win[1][i]; });
+      }
+    }
+    acc.store(outs);
   }
-  const int quads = len / 4;
-  const int rem = len - 4 * quads;
-  const Vec8f wxyv(wxy);
-  Vec8f wv[WindowBuf::kMaxLen / 4 + 1];
-  for (int j = 0; j < quads; ++j) wv[j] = Vec8f::load(wb.win_dup + 8 * j) * wxyv;
-  float wtail[3];
-  for (int t = 0; t < rem; ++t) wtail[t] = wxy * wb.win[last][4 * quads + t];
-  const cfloat* cell0 = row0 + wb.idx[last][0];
-  for (index_t b = 0; b < nb; ++b) {
-    const cfloat* cell = cell0 + sstride * static_cast<std::size_t>(b);
-    const auto* p = reinterpret_cast<const float*>(cell);
-    Vec8f acc = accs[b];
-    for (int j = 0; j < quads; ++j) acc = simd::fmadd(Vec8f::loadu(p + 8 * j), wv[j], acc);
-    accs[b] = acc;
-    for (int t = 0; t < rem; ++t) touts[b] += cell[4 * quads + t] * wtail[t];
-  }
+}
+
+template <int DIM, std::size_t... I>
+LaneKernels avx2_lane_table(index_t lanes, std::index_sequence<I...>) {
+  static constexpr LaneScatterFn kScatter[] = {&ladj_scatter_avx2<DIM, static_cast<int>(I) + 2>...};
+  static constexpr LaneGatherFn kGather[] = {&lfwd_gather_avx2<DIM, static_cast<int>(I) + 2>...};
+  return {kScatter[lanes - 2], kGather[lanes - 2]};
 }
 
 }  // namespace
 
 template <int DIM>
-void badj_scatter_avx2(cfloat* slab0, std::size_t sstride, index_t nb,
-                       const std::array<index_t, 3>& strides, const WindowBuf& wb,
-                       const cfloat* vals) {
-  constexpr int last = DIM - 1;
-  Vec8f vsplat[kMaxBatch];
-  for (index_t b = 0; b < nb; ++b) {
-    vsplat[b] = Vec8f::broadcast_complex(vals[b].real(), vals[b].imag());
-  }
-  if constexpr (DIM == 1) {
-    badj_row_avx2(slab0, sstride, nb, wb, last, 1.0f, vsplat, vals);
-  } else if constexpr (DIM == 2) {
-    for (int iy = 0; iy < wb.len[0]; ++iy) {
-      badj_row_avx2(slab0 + wb.idx[0][iy] * strides[0], sstride, nb, wb, last, wb.win[0][iy],
-                    vsplat, vals);
-    }
-  } else {
-    for (int ix = 0; ix < wb.len[0]; ++ix) {
-      cfloat* base = slab0 + wb.idx[0][ix] * strides[0];
-      const float wx = wb.win[0][ix];
-      for (int iy = 0; iy < wb.len[1]; ++iy) {
-        badj_row_avx2(base + wb.idx[1][iy] * strides[1], sstride, nb, wb, last,
-                      wx * wb.win[1][iy], vsplat, vals);
-      }
-    }
-  }
+LaneKernels lane_kernels_avx2(index_t lanes) {
+  NUFFT_CHECK(lanes >= 2 && lanes <= kMaxBatch);
+  return avx2_lane_table<DIM>(lanes, std::make_index_sequence<kMaxBatch - 1>{});
 }
 
-template <int DIM>
-void bfwd_gather_avx2(const cfloat* slab0, std::size_t sstride, index_t nb,
-                      const std::array<index_t, 3>& strides, const WindowBuf& wb,
-                      cfloat* outs) {
-  constexpr int last = DIM - 1;
-  Vec8f accs[kMaxBatch];
-  cfloat touts[kMaxBatch];
-  for (index_t b = 0; b < nb; ++b) touts[b] = cfloat(0.0f, 0.0f);
-  if constexpr (DIM == 1) {
-    bfwd_row_avx2(slab0, sstride, nb, wb, last, 1.0f, accs, touts);
-  } else if constexpr (DIM == 2) {
-    for (int iy = 0; iy < wb.len[0]; ++iy) {
-      bfwd_row_avx2(slab0 + wb.idx[0][iy] * strides[0], sstride, nb, wb, last, wb.win[0][iy],
-                    accs, touts);
-    }
-  } else {
-    for (int ix = 0; ix < wb.len[0]; ++ix) {
-      const cfloat* base = slab0 + wb.idx[0][ix] * strides[0];
-      const float wx = wb.win[0][ix];
-      for (int iy = 0; iy < wb.len[1]; ++iy) {
-        bfwd_row_avx2(base + wb.idx[1][iy] * strides[1], sstride, nb, wb, last,
-                      wx * wb.win[1][iy], accs, touts);
-      }
-    }
-  }
-  for (index_t b = 0; b < nb; ++b) {
-    float re = 0.0f, im = 0.0f;
-    accs[b].hsum_complex(re, im);
-    outs[b] = cfloat(re, im) + touts[b];
-  }
-}
-
-template void badj_scatter_avx2<1>(cfloat*, std::size_t, index_t, const std::array<index_t, 3>&,
-                                   const WindowBuf&, const cfloat*);
-template void badj_scatter_avx2<2>(cfloat*, std::size_t, index_t, const std::array<index_t, 3>&,
-                                   const WindowBuf&, const cfloat*);
-template void badj_scatter_avx2<3>(cfloat*, std::size_t, index_t, const std::array<index_t, 3>&,
-                                   const WindowBuf&, const cfloat*);
-template void bfwd_gather_avx2<1>(const cfloat*, std::size_t, index_t,
-                                  const std::array<index_t, 3>&, const WindowBuf&, cfloat*);
-template void bfwd_gather_avx2<2>(const cfloat*, std::size_t, index_t,
-                                  const std::array<index_t, 3>&, const WindowBuf&, cfloat*);
-template void bfwd_gather_avx2<3>(const cfloat*, std::size_t, index_t,
-                                  const std::array<index_t, 3>&, const WindowBuf&, cfloat*);
+template LaneKernels lane_kernels_avx2<1>(index_t);
+template LaneKernels lane_kernels_avx2<2>(index_t);
+template LaneKernels lane_kernels_avx2<3>(index_t);
 
 }  // namespace nufft

@@ -26,15 +26,9 @@ template <int DIM>
 cfloat fwd_gather_avx2(const cfloat* grid, const std::array<index_t, 3>& strides,
                        const WindowBuf& wb);
 
-/// Multi-slab variants (convolution.hpp contract), four complex cells per
-/// 256-bit op.
+/// Lane kernels (convolution.hpp contract) for 2 ≤ lanes ≤ kMaxBatch, four
+/// lanes per 256-bit op, fused multiply-add.
 template <int DIM>
-void badj_scatter_avx2(cfloat* slab0, std::size_t slab_stride, index_t nb,
-                       const std::array<index_t, 3>& strides, const WindowBuf& wb,
-                       const cfloat* vals);
-
-template <int DIM>
-void bfwd_gather_avx2(const cfloat* slab0, std::size_t slab_stride, index_t nb,
-                      const std::array<index_t, 3>& strides, const WindowBuf& wb, cfloat* outs);
+LaneKernels lane_kernels_avx2(index_t lanes);
 
 }  // namespace nufft

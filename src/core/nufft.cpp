@@ -258,13 +258,14 @@ void Nufft::clear_slabs(cfloat* slabs, std::size_t elems, ThreadPool& pool) {
 void Nufft::clear_grid() { clear_slabs(ws_.grid.data(), ws_.grid.size(), *pool_); }
 
 void Nufft::images_to_slabs(const cfloat* const* images, index_t nb, cfloat* slabs,
-                            std::size_t stride, ThreadPool& pool) const {
-  // One sweep over each slab writing every cell exactly once (zero padding
-  // or scaled image value), so the grid needs no separate clear. The
+                            ThreadPool& pool) const {
+  // One sweep writing every lane of every cell exactly once (zero padding
+  // or scaled image value), so the grids need no separate clear. The
   // innermost dimension walks the precomputed wrap runs (contiguous
   // grid↔image stretches): the hot loop is a straight copy-scale with no
-  // per-element lookup or branch. Multiply grouping is src · (f · scale),
-  // with f the product of the outer dims' factors.
+  // per-element lookup or branch, writing each cell's nb lanes in turn.
+  // Multiply grouping is src · (f · scale), with f the product of the outer
+  // dims' factors.
   const int dim = g_.dim;
   const auto st = g_.grid_strides();
   const index_t m1 = dim >= 2 ? g_.m[1] : 1;
@@ -274,61 +275,67 @@ void Nufft::images_to_slabs(const cfloat* const* images, index_t nb, cfloat* sla
   const fvec& s0 = scale_[0];
   const fvec* s1 = dim >= 2 ? &scale_[1] : nullptr;
   const fvec* s2 = dim >= 3 ? &scale_[2] : nullptr;
-  // Stream one row's runs: gaps zeroed, each run a lookup-free copy-scale.
+  // Stream one row's runs: gaps zeroed, each run a lookup-free copy-scale
+  // from image offset `src` on.
   const auto stream_row = [&](cfloat* row, index_t m, const std::vector<WrapRun>& runs,
-                              const cfloat* src, float f, const fvec& scale) {
+                              index_t src, float f, const fvec& scale) {
     index_t gcur = 0;
     for (const WrapRun& r : runs) {
-      zero_complex(row + gcur, static_cast<std::size_t>(r.g_begin - gcur));
+      zero_complex(row + gcur * nb, static_cast<std::size_t>((r.g_begin - gcur) * nb));
       const index_t len = r.g_end - r.g_begin;
-      cfloat* out = row + r.g_begin;
-      const cfloat* in = src + r.i_begin;
+      cfloat* out = row + r.g_begin * nb;
+      const index_t in = src + r.i_begin;
       const float* sc = scale.data() + r.i_begin;
-      for (index_t j = 0; j < len; ++j) out[j] = in[j] * (f * sc[j]);
+      if (nb == 1) {
+        const cfloat* image = images[0] + in;
+        for (index_t j = 0; j < len; ++j) out[j] = image[j] * (f * sc[j]);
+      } else {
+        for (index_t j = 0; j < len; ++j) {
+          const float fs = f * sc[j];
+          for (index_t k = 0; k < nb; ++k) out[j * nb + k] = images[k][in + j] * fs;
+        }
+      }
       gcur = r.g_end;
     }
-    zero_complex(row + gcur, static_cast<std::size_t>(m - gcur));
+    zero_complex(row + gcur * nb, static_cast<std::size_t>((m - gcur) * nb));
   };
   pool.parallel_for(g_.m[0], [&](index_t b, index_t e) {
     for (index_t g0 = b; g0 < e; ++g0) {
       const index_t i0 = inv_wrap_[0][static_cast<std::size_t>(g0)];
-      for (index_t k = 0; k < nb; ++k) {
-        cfloat* slab = slabs + static_cast<std::size_t>(k) * stride + g0 * st[0];
-        if (i0 < 0) {
-          zero_complex(slab, static_cast<std::size_t>(st[0]));
+      cfloat* slab = slabs + g0 * st[0] * nb;
+      if (i0 < 0) {
+        zero_complex(slab, static_cast<std::size_t>(st[0] * nb));
+        continue;
+      }
+      const float f0 = s0[static_cast<std::size_t>(i0)];
+      if (dim == 1) {
+        for (index_t k = 0; k < nb; ++k) slab[k] = images[k][i0] * f0;
+        continue;
+      }
+      if (dim == 2) {
+        stream_row(slab, m1, wrap_runs_[1], i0 * n1, f0, *s1);
+        continue;
+      }
+      for (index_t g1 = 0; g1 < m1; ++g1) {
+        cfloat* row = slab + g1 * st[1] * nb;
+        const index_t i1 = inv_wrap_[1][static_cast<std::size_t>(g1)];
+        if (i1 < 0) {
+          zero_complex(row, static_cast<std::size_t>(st[1] * nb));
           continue;
         }
-        const cfloat* image = images[k];
-        const float f0 = s0[static_cast<std::size_t>(i0)];
-        if (dim == 1) {
-          slab[0] = image[i0] * f0;
-          continue;
-        }
-        if (dim == 2) {
-          stream_row(slab, m1, wrap_runs_[1], image + i0 * n1, f0, *s1);
-          continue;
-        }
-        for (index_t g1 = 0; g1 < m1; ++g1) {
-          cfloat* row = slab + g1 * st[1];
-          const index_t i1 = inv_wrap_[1][static_cast<std::size_t>(g1)];
-          if (i1 < 0) {
-            zero_complex(row, static_cast<std::size_t>(st[1]));
-            continue;
-          }
-          const float f01 = f0 * (*s1)[static_cast<std::size_t>(i1)];
-          stream_row(row, m2, wrap_runs_[2], image + (i0 * n1 + i1) * n2, f01, *s2);
-        }
+        const float f01 = f0 * (*s1)[static_cast<std::size_t>(i1)];
+        stream_row(row, m2, wrap_runs_[2], (i0 * n1 + i1) * n2, f01, *s2);
       }
     }
   });
 }
 
 void Nufft::image_to_grid(const cfloat* image) {
-  images_to_slabs(&image, 1, ws_.grid.data(), ws_.grid.size(), *pool_);
+  images_to_slabs(&image, 1, ws_.grid.data(), *pool_);
 }
 
-void Nufft::slabs_to_images(const cfloat* slabs, std::size_t stride, index_t nb,
-                            cfloat* const* images, ThreadPool& pool) const {
+void Nufft::slabs_to_images(const cfloat* slabs, index_t nb, cfloat* const* images,
+                            ThreadPool& pool) const {
   const int dim = g_.dim;
   const auto st = g_.grid_strides();
   const index_t n1 = dim >= 2 ? g_.n[1] : 1;
@@ -343,19 +350,22 @@ void Nufft::slabs_to_images(const cfloat* slabs, std::size_t stride, index_t nb,
       for (index_t i1 = 0; i1 < n1; ++i1) {
         const float f01 = dim >= 2 ? f0 * (*s1)[static_cast<std::size_t>(i1)] : f0;
         const index_t g1 = dim >= 2 ? wrap_[1][static_cast<std::size_t>(i1)] : 0;
-        // Row geometry resolved once, applied to every slab.
-        const cfloat* src0 = slabs + g0 * st[0] + (dim >= 2 ? g1 * st[1] : 0);
+        // Row geometry resolved once, applied to every lane.
+        const cfloat* src = slabs + (g0 * st[0] + (dim >= 2 ? g1 * st[1] : 0)) * nb;
         const index_t row_off = (i0 * n1 + i1) * n2;
-        for (index_t k = 0; k < nb; ++k) {
-          const cfloat* src = src0 + static_cast<std::size_t>(k) * stride;
-          cfloat* dst = images[k] + row_off;
-          if (dim >= 3) {
-            for (index_t i2 = 0; i2 < n2; ++i2) {
-              dst[i2] = src[wrap_[2][static_cast<std::size_t>(i2)]] *
-                        (f01 * (*s2)[static_cast<std::size_t>(i2)]);
-            }
-          } else {
-            dst[0] = src[0] * f01;
+        if (dim < 3) {
+          for (index_t k = 0; k < nb; ++k) images[k][row_off] = src[k] * f01;
+        } else if (nb == 1) {
+          cfloat* dst = images[0] + row_off;
+          for (index_t i2 = 0; i2 < n2; ++i2) {
+            dst[i2] = src[wrap_[2][static_cast<std::size_t>(i2)]] *
+                      (f01 * (*s2)[static_cast<std::size_t>(i2)]);
+          }
+        } else {
+          for (index_t i2 = 0; i2 < n2; ++i2) {
+            const cfloat* cell = src + wrap_[2][static_cast<std::size_t>(i2)] * nb;
+            const float fs = f01 * (*s2)[static_cast<std::size_t>(i2)];
+            for (index_t k = 0; k < nb; ++k) images[k][row_off + i2] = cell[k] * fs;
           }
         }
       }
@@ -364,28 +374,27 @@ void Nufft::slabs_to_images(const cfloat* slabs, std::size_t stride, index_t nb,
 }
 
 void Nufft::grid_to_image(cfloat* image) const {
-  slabs_to_images(ws_.grid.data(), ws_.grid.size(), 1, &image, *pool_);
+  slabs_to_images(ws_.grid.data(), 1, &image, *pool_);
 }
 
-void Nufft::interp_slabs(const ConvVariant& v, const cfloat* slabs, std::size_t stride,
-                         index_t nb, cfloat* const* raws, ThreadPool& pool) const {
+void Nufft::interp_slabs(const ConvVariant& v, const cfloat* slabs, index_t nb,
+                         cfloat* const* raws, ThreadPool& pool) const {
   const auto st = g_.grid_strides();
   pool.parallel_for_tid(static_cast<index_t>(pp_.tasks.size()), 1,
                         [&](int, index_t kb, index_t ke) {
                           for (index_t k = kb; k < ke; ++k) {
                             v.interp(conv_range(pp_.tasks[static_cast<std::size_t>(k)], false),
-                                     slabs, stride, nb, st, raws);
+                                     slabs, nb, st, raws);
                           }
                         });
 }
 
 void Nufft::interp(cfloat* raw) {
-  interp_slabs(*conv_variant_, ws_.grid.data(), ws_.grid.size(), 1, &raw, *pool_);
+  interp_slabs(*conv_variant_, ws_.grid.data(), 1, &raw, *pool_);
 }
 
 SchedulerStats Nufft::spread_slabs(const ConvVariant& v, const cfloat* const* raws, index_t nb,
-                                   cfloat* slabs, std::size_t stride,
-                                   std::vector<cvecf>& private_bufs,
+                                   cfloat* slabs, std::vector<cvecf>& private_bufs,
                                    const std::vector<char>& privatized, ThreadPool& pool) const {
   const int dim = g_.dim;
   const auto st = g_.grid_strides();
@@ -394,7 +403,7 @@ SchedulerStats Nufft::spread_slabs(const ConvVariant& v, const cfloat* const* ra
     const auto box_elems = static_cast<std::size_t>(task.box_elems(dim));
     switch (phase) {
       case JobPhase::kConvolve:
-        v.spread(conv_range(task, false), raws, nb, slabs, stride, st);
+        v.spread(conv_range(task, false), raws, nb, slabs, st);
         break;
       case JobPhase::kPrivateConvolve: {
         auto& buf = private_bufs[static_cast<std::size_t>(task_id)];
@@ -406,11 +415,12 @@ SchedulerStats Nufft::spread_slabs(const ConvVariant& v, const cfloat* const* ra
               (task.box_hi[static_cast<std::size_t>(d + 1)] -
                task.box_lo[static_cast<std::size_t>(d + 1)]);
         }
-        v.spread(conv_range(task, true), raws, nb, buf.data(), box_elems, bst);
+        v.spread(conv_range(task, true), raws, nb, buf.data(), bst);
         break;
       }
       case JobPhase::kReduce: {
-        // Merge each slab's private box into the slab, wrapping mod M.
+        // Merge the private box into the grids, wrapping mod M: each cell
+        // adds its nb contiguous lanes.
         const auto& buf = private_bufs[static_cast<std::size_t>(task_id)];
         std::array<index_t, 3> blen{1, 1, 1};
         for (int d = 0; d < dim; ++d) {
@@ -422,19 +432,16 @@ SchedulerStats Nufft::spread_slabs(const ConvVariant& v, const cfloat* const* ra
         const index_t inner = blen[last];
         const index_t lo = task.box_lo[last];
         const index_t m = g_.m[last];
-        for (index_t k = 0; k < nb; ++k) {
-          cfloat* grid = slabs + static_cast<std::size_t>(k) * stride;
-          const cfloat* box = buf.data() + static_cast<std::size_t>(k) * box_elems;
-          for (index_t r = 0; r < rows; ++r) {
-            const index_t b0 = dim >= 3 ? r / blen[1] : (dim == 2 ? r : 0);
-            const index_t b1 = dim >= 3 ? r % blen[1] : 0;
-            index_t base = 0;
-            if (dim >= 2) base += wrap_coord(task.box_lo[0] + b0, g_.m[0]) * st[0];
-            if (dim >= 3) base += wrap_coord(task.box_lo[1] + b1, g_.m[1]) * st[1];
-            const cfloat* src = box + r * inner;
-            for (index_t c = 0; c < inner; ++c) {
-              grid[base + wrap_coord(lo + c, m)] += src[c];
-            }
+        for (index_t r = 0; r < rows; ++r) {
+          const index_t b0 = dim >= 3 ? r / blen[1] : (dim == 2 ? r : 0);
+          const index_t b1 = dim >= 3 ? r % blen[1] : 0;
+          index_t base = 0;
+          if (dim >= 2) base += wrap_coord(task.box_lo[0] + b0, g_.m[0]) * st[0];
+          if (dim >= 3) base += wrap_coord(task.box_lo[1] + b1, g_.m[1]) * st[1];
+          const cfloat* src = buf.data() + r * inner * nb;
+          for (index_t c = 0; c < inner; ++c) {
+            cfloat* cell = slabs + (base + wrap_coord(lo + c, m)) * nb;
+            for (index_t k = 0; k < nb; ++k) cell[k] += src[c * nb + k];
           }
         }
         break;
@@ -453,8 +460,8 @@ SchedulerStats Nufft::spread_slabs(const ConvVariant& v, const cfloat* const* ra
 
 void Nufft::run_spread(const cfloat* raw, Workspace& ws, ThreadPool& pool,
                        OperatorStats* stats) const {
-  SchedulerStats sstats = spread_slabs(*conv_variant_, &raw, 1, ws.grid.data(), ws.grid.size(),
-                                       ws.private_bufs, pp_.privatized, pool);
+  SchedulerStats sstats =
+      spread_slabs(*conv_variant_, &raw, 1, ws.grid.data(), ws.private_bufs, pp_.privatized, pool);
   if (stats != nullptr) {
     // Accumulate, don't overwrite: the caller resets the struct at apply
     // entry, and a batched apply walks the scheduler once per chunk.
@@ -476,7 +483,7 @@ void Nufft::forward(const cfloat* image, cfloat* raw, Workspace& ws, ThreadPool&
   Timer t;
   {
     obs::Span s("nufft.scale", "core");
-    images_to_slabs(&image, 1, ws.grid.data(), ws.grid.size(), pool);
+    images_to_slabs(&image, 1, ws.grid.data(), pool);
   }
   ws.fwd_stats.scale_s = t.seconds();
 
@@ -490,7 +497,7 @@ void Nufft::forward(const cfloat* image, cfloat* raw, Workspace& ws, ThreadPool&
   t.reset();
   {
     obs::Span s("nufft.conv", "core");
-    interp_slabs(*conv_variant_, ws.grid.data(), ws.grid.size(), 1, &raw, pool);
+    interp_slabs(*conv_variant_, ws.grid.data(), 1, &raw, pool);
   }
   ws.fwd_stats.conv_s = t.seconds();
   ws.fwd_stats.total_s = total.seconds();
@@ -526,7 +533,7 @@ void Nufft::adjoint(const cfloat* raw, cfloat* image, Workspace& ws, ThreadPool&
   t.reset();
   {
     obs::Span s("nufft.scale", "core");
-    slabs_to_images(ws.grid.data(), ws.grid.size(), 1, &image, pool);
+    slabs_to_images(ws.grid.data(), 1, &image, pool);
   }
   ws.adj_stats.scale_s += t.seconds();
   ws.adj_stats.total_s = total.seconds();

@@ -25,11 +25,11 @@
 // exist for convenience and for the component benchmarks.
 //
 // Batched applies (B right-hand sides per scheduler walk) are layered on the
-// same contract by `exec::BatchNufft`, which stores B oversampled grids as
-// consecutive slabs (batch-major: slab b at offset b·grid_elems()) so each
-// slice keeps the single-transform memory layout; see DESIGN.md §7. The
-// passes around the FFT (scale, convolution, reduce) exist once, here, over
-// nb slabs — this class's own applies run them at nb = 1.
+// same contract by `exec::BatchNufft`, which stores B oversampled grids
+// cell-interleaved (lane b of cell c at offset c·B + b; at B = 1 exactly the
+// single grid); see DESIGN.md §7. The passes around the FFT (scale,
+// convolution, reduce) exist once, here, over nb lanes — this class's own
+// applies run them at nb = 1.
 #pragma once
 
 #include <memory>
@@ -196,28 +196,30 @@ class Nufft {
     return ev;
   }
 
-  // --- the passes around the FFT, over nb ≤ kMaxBatch batch-major slabs ---
-  // Slab b of the grid lives at slabs + b·stride; images/raws are one
-  // pointer per slab. The single-RHS applies call them at nb = 1,
+  // --- the passes around the FFT, over nb ≤ kMaxBatch grids ---
+  // The nb grids are cell-interleaved: lane b of grid cell c lives at
+  // slabs[c·nb + b] (at nb = 1, the single grid). images/raws are one
+  // pointer per lane. The single-RHS applies call them at nb = 1,
   // exec::BatchNufft at its chunk width — one implementation of each pass.
 
   /// Zero `elems` grid values in parallel.
   static void clear_slabs(cfloat* slabs, std::size_t elems, ThreadPool& pool);
-  /// Fused scale pass: write every cell of each slab exactly once (zero
+  /// Fused scale pass: write every lane of every cell exactly once (zero
   /// padding, or image value × rolloff × chop).
   void images_to_slabs(const cfloat* const* images, index_t nb, cfloat* slabs,
-                       std::size_t stride, ThreadPool& pool) const;
-  /// Crop + scale + chop each slab back into its image.
-  void slabs_to_images(const cfloat* slabs, std::size_t stride, index_t nb,
-                       cfloat* const* images, ThreadPool& pool) const;
+                       ThreadPool& pool) const;
+  /// Crop + scale + chop each lane back into its image.
+  void slabs_to_images(const cfloat* slabs, index_t nb, cfloat* const* images,
+                       ThreadPool& pool) const;
   /// Forward convolution of every task through variant `v`.
-  void interp_slabs(const ConvVariant& v, const cfloat* slabs, std::size_t stride, index_t nb,
-                    cfloat* const* raws, ThreadPool& pool) const;
-  /// Adjoint convolution into pre-cleared slabs, one scheduler walk. Task k
-  /// with privatized[k] set convolves into private_bufs[k] (nb boxes of
-  /// box_elems each, batch-major) and reduces into the slabs.
+  void interp_slabs(const ConvVariant& v, const cfloat* slabs, index_t nb, cfloat* const* raws,
+                    ThreadPool& pool) const;
+  /// Adjoint convolution into pre-cleared grids, one scheduler walk. Task k
+  /// with privatized[k] set convolves into private_bufs[k] (a box of
+  /// box_elems cells, nb lanes each, interleaved like the grids) and
+  /// reduces into the grids.
   SchedulerStats spread_slabs(const ConvVariant& v, const cfloat* const* raws, index_t nb,
-                              cfloat* slabs, std::size_t stride, std::vector<cvecf>& private_bufs,
+                              cfloat* slabs, std::vector<cvecf>& private_bufs,
                               const std::vector<char>& privatized, ThreadPool& pool) const;
   /// Single-RHS spread into ws.grid (pre-cleared); stats accumulate.
   void run_spread(const cfloat* raw, Workspace& ws, ThreadPool& pool,

@@ -45,7 +45,7 @@ struct OperatorStats {
   double total_s = 0.0;
 
   // Adjoint-convolution scheduling detail, summed over every scheduler walk
-  // of the apply (one per chunk for batched multi-slab-group adjoints).
+  // of the apply (one per chunk for batched adjoints).
   int tasks = 0;
   int privatized_tasks = 0;
   std::vector<std::uint64_t> busy_ns_per_context;

@@ -15,7 +15,7 @@ BatchNufft::BatchNufft(const Nufft& plan, index_t max_batch)
       capacity_(std::min<index_t>(std::max<index_t>(max_batch, 1), kMaxBatch)),
       slab_elems_(static_cast<std::size_t>(plan.grid_desc().grid_elems())),
       variant_(&plan.conv_variant()),
-      bfft_(plan.grid_desc(), *plan.fft_fwd_, *plan.fft_inv_) {
+      bfft_(plan.grid_desc(), *plan.fft_fwd_, *plan.fft_inv_, capacity_, plan.pool_->size()) {
   // The slabs are the irreducible working set — without them there is no
   // batched apply at all, so this allocation failure propagates.
   slabs_.resize(static_cast<std::size_t>(capacity_) * slab_elems_);
@@ -47,7 +47,7 @@ void BatchNufft::forward_chunk(const cfloat* const* images, cfloat* const* raws,
   Timer t;
   {
     obs::Span s("batch.scale", "batch", nb);
-    plan_->images_to_slabs(images, nb, slabs_.data(), slab_elems_, pool);
+    plan_->images_to_slabs(images, nb, slabs_.data(), pool);
   }
   fwd_stats_.scale_s += t.seconds();
 
@@ -62,7 +62,7 @@ void BatchNufft::forward_chunk(const cfloat* const* images, cfloat* const* raws,
   t.reset();
   {
     obs::Span s("batch.conv", "batch", nb);
-    plan_->interp_slabs(*variant_, slabs_.data(), slab_elems_, nb, raws, pool);
+    plan_->interp_slabs(*variant_, slabs_.data(), nb, raws, pool);
   }
   fwd_stats_.conv_s += t.seconds();
 }
@@ -82,8 +82,8 @@ void BatchNufft::adjoint_chunk(const cfloat* const* raws, cfloat* const* images,
     // When the private buffers failed to allocate, an all-zero privatized
     // mask routes every task through the TDG-serialized direct-scatter path.
     const auto& priv = privatization_downgraded_ ? privatized_off_ : plan_->pp_.privatized;
-    SchedulerStats sstats = plan_->spread_slabs(*variant_, raws, nb, slabs_.data(), slab_elems_,
-                                                private_slabs_, priv, pool);
+    SchedulerStats sstats =
+        plan_->spread_slabs(*variant_, raws, nb, slabs_.data(), private_slabs_, priv, pool);
     // Accumulate element-wise: a B-slice adjoint walks the scheduler once
     // per chunk, and the apply's load-balance record must cover every walk.
     adj_stats_.add_scheduler_pass(sstats.tasks, sstats.privatized_tasks,
@@ -103,15 +103,15 @@ void BatchNufft::adjoint_chunk(const cfloat* const* raws, cfloat* const* images,
   t.reset();
   {
     obs::Span s("batch.scale", "batch", nb);
-    plan_->slabs_to_images(slabs_.data(), slab_elems_, nb, images, pool);
+    plan_->slabs_to_images(slabs_.data(), nb, images, pool);
   }
   adj_stats_.scale_s += t.seconds();
 }
 
 void BatchNufft::downgrade_to_scalar(const char* direction) {
   // A chunk writes every output it touches, so it can be re-run whole on the
-  // scalar variant (which needs no slab-group scratch). If the scalar path
-  // itself cannot allocate there is nothing left to shed.
+  // scalar variant. If the scalar path itself cannot allocate there is
+  // nothing left to shed.
   if (variant_->key.backend == ConvBackend::kScalar) {
     throw Error(std::string("batched ") + direction +
                     ": allocation failed on the scalar fallback path",

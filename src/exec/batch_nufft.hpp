@@ -6,31 +6,31 @@
 // single applies on the same plan:
 //
 //  * Part 1 of the convolution — each sample's interpolation window is
-//    computed once and reused for every slice (the window depends only on
+//    computed once and applied to every slice (the window depends only on
 //    the trajectory, not on the data).
 //  * The scheduler — one TDG / priority-queue walk convolves all B slices
 //    per task, so fork/join and queue traffic are paid once.
-//  * Part 2 weight vectors — the multi-slab kernels (core/convolution.hpp)
-//    hoist the wxy·win products out of the slice loop.
+//  * Part 2 — the grids are cell-interleaved, so each window cell is one
+//    contiguous B-lane vector and the lane kernels (core/convolution.hpp)
+//    weight it with whole registers across the batch.
 //  * The FFT — pruned to the populated corner rows and run with
 //    column-interleaved batched Stockham stages (batch_fft.hpp).
 //  * Scale/chop/rolloff — the per-row wrap indices and scale factors are
 //    resolved once per grid row, then applied to all B slices.
 //
-// This class owns only the slab buffers, the chunk loop, the batched FFT
+// This class owns only the grid buffers, the chunk loop, the batched FFT
 // and the degradation paths. Every pass it runs — scale, convolution
-// (the plan's bound dispatch variant, called with the chunk's slab count),
+// (the plan's bound dispatch variant, called with the chunk's lane count),
 // privatized reduce — is the plan's own implementation (core/nufft.hpp).
 //
-// Grid layout: B slabs, batch-major — slice b's oversampled grid occupies
-// [b·grid_elems(), (b+1)·grid_elems()). Within a slab the layout is exactly
-// the single-transform grid, so every tuned row kernel applies unchanged and
-// the per-slice FFT needs no transpose. (A batch-innermost per-cell layout
-// was considered and rejected: it vectorizes the scatter across the batch
-// but forces a full transpose before the FFT and abandons the tuned
-// unit-stride row kernels; see DESIGN.md §7.)
+// Grid layout: a chunk of nb slices is one grid of nb-lane cells — lane b
+// of grid cell c at slabs_[c·nb + b], and privatized tasks' boxes likewise.
+// At nb = 1 that is exactly the single-transform grid. The batched FFT's
+// column stages want each element's lanes side by side anyway, so the
+// interleaving costs the FFT nothing and turns its per-element gather into
+// one contiguous copy (see DESIGN.md §7).
 //
-// Concurrency: a BatchNufft owns its slabs, so one instance serves one
+// Concurrency: a BatchNufft owns its grids, so one instance serves one
 // caller at a time — it is the batched analogue of a Workspace. The plan is
 // only read; any number of BatchNufft instances (and Workspace applies) may
 // run concurrently on one plan, each with its own ThreadPool.
@@ -39,10 +39,11 @@
 // (the variants' nb = 1 body, the plan's own FFT), so results are
 // bit-identical to Nufft::forward/adjoint under the same schedule. In
 // scalar mode (PlanConfig::use_simd = false) with one thread, batched
-// results at any nb are bit-identical to nb single applies — the per-slice
-// scatter/gather/FFT operations execute in the same order with the same
-// associations. At nb ≥ 2 the SIMD paths re-associate weight products
-// across the batch and match to rounding (tests pin 1e-5).
+// results at any nb are bit-identical to nb single applies: the scalar lane
+// kernels run each lane's multiplies and adds in the single-grid order, and
+// the FFT runs lane by lane through the plan's own transform. At nb ≥ 2 the
+// SIMD paths use the batched FFT stages (and, on AVX2, fused multiply-adds)
+// and match to rounding (tests pin 1e-5).
 #pragma once
 
 #include <memory>
@@ -115,7 +116,7 @@ class BatchNufft {
   // run every task through the TDG-serialized direct-scatter path instead.
   bool privatization_downgraded_ = false;
   std::vector<char> privatized_off_;   // all-zero mask used when downgraded
-  cvecf slabs_;                        // capacity · grid_elems(), batch-major
+  cvecf slabs_;                        // capacity · grid_elems(), cell-interleaved
   std::vector<cvecf> private_slabs_;   // per privatized task: capacity · box_elems
   BatchFft bfft_;
   OperatorStats fwd_stats_;

@@ -451,6 +451,26 @@ void run_full(const FuzzConfig& c, Report& rep) {
                             g.image_elems()),
                     5e-4);
     }
+
+    // The scalar backend on one pool thread: every slice bit for bit the
+    // single apply (the scalar lane kernels keep each lane's operation order,
+    // and the FFT runs lane by lane through the plan's own transform).
+    ThreadPool one(1);
+    Workspace ws = scalar_plan.make_workspace();
+    exec::BatchNufft sbatch(scalar_plan, c.batch);
+    sbatch.forward(img_ptrs.data(), rawout_ptrs.data(), c.batch, one);
+    sbatch.adjoint(rawin_ptrs.data(), imgout_ptrs.data(), c.batch, one);
+    for (index_t b = 0; b < c.batch; ++b) {
+      const auto bs = static_cast<std::size_t>(b);
+      scalar_plan.forward(imgs[bs].data(), single_raw.data(), ws, one);
+      if (!bitwise_equal(raws_out[bs], single_raw)) {
+        rep.fail() << "scalar batch slice " << b << " forward differs bitwise from the single apply";
+      }
+      scalar_plan.adjoint(raws_in[bs].data(), single_img.data(), ws, one);
+      if (!bitwise_equal(imgs_out[bs], single_img)) {
+        rep.fail() << "scalar batch slice " << b << " adjoint differs bitwise from the single apply";
+      }
+    }
   }
 
   // Raw kernel-level baselines against the plan's deterministic spread.

@@ -7,7 +7,9 @@
 // binds is a pure performance decision, never a numerical one. These tests
 // call both variants directly over a real plan's task ranges — interp,
 // spread into the global grid, spread into each task's private box — at
-// nb = 1 and nb = 3 slabs, sweep the boundary coordinates where the
+// nb = 1 and at nb ∈ {2, 3, 4, 5, 16} cell-interleaved grids (every lane
+// tail of the SSE and AVX2 lane kernels), check the SSE lane kernels
+// bitwise against the scalar ones, sweep the boundary coordinates where the
 // float-rounding window trim diverges first, check the fused image_to_grid
 // scale pass cell by cell against a scatter reference, pin the fallback
 // rules, and check the plan-time binding is observable (PlanStats + the obs
@@ -19,6 +21,7 @@
 #include <algorithm>
 #include <cmath>
 #include <cstring>
+#include <initializer_list>
 #include <limits>
 #include <string>
 
@@ -160,7 +163,7 @@ SampleSet clustered_samples(int dim, index_t m, index_t count) {
 void expect_bitwise_equal(const cvecf& a, const cvecf& b, const std::string& what) {
   ASSERT_EQ(a.size(), b.size()) << what;
   ASSERT_EQ(std::memcmp(a.data(), b.data(), a.size() * sizeof(cfloat)), 0)
-      << what << ": constexpr-W and runtime-width outputs differ bitwise";
+      << what << ": outputs differ bitwise";
 }
 
 /// Strides of a task's private box (row-major over the box extents).
@@ -173,10 +176,73 @@ std::array<index_t, 3> box_strides(const ConvTask& task, int dim) {
   return bst;
 }
 
+/// Run variants `spec` and `runtime` over every task range of `plan` at each
+/// lane count of `nbs`, and compare bitwise: interp outputs, spreads into
+/// the global grid, and spreads into each task's private box.
+void compare_bodies(const Nufft& plan, const ConvVariant* spec, const ConvVariant* runtime,
+                    std::initializer_list<index_t> nbs) {
+  const GridDesc& g = plan.grid_desc();
+  const auto st = g.grid_strides();
+  const auto grid_elems = static_cast<std::size_t>(g.grid_elems());
+  const index_t count = plan.sample_count();
+  for (const index_t nb : nbs) {
+    SCOPED_TRACE(spec->name + " nb=" + std::to_string(nb));
+    const cvecf grids = testing::random_raw(nb * g.grid_elems(), 7);
+    std::vector<cvecf> raws;
+    std::vector<cvecf> outs_spec(static_cast<std::size_t>(nb), cvecf(static_cast<std::size_t>(count)));
+    std::vector<cvecf> outs_rt = outs_spec;
+    std::vector<const cfloat*> raw_ptrs;
+    std::vector<cfloat*> spec_ptrs, rt_ptrs;
+    for (index_t b = 0; b < nb; ++b) {
+      raws.push_back(testing::random_raw(count, 11 + static_cast<std::uint64_t>(b)));
+      raw_ptrs.push_back(raws.back().data());
+      spec_ptrs.push_back(outs_spec[static_cast<std::size_t>(b)].data());
+      rt_ptrs.push_back(outs_rt[static_cast<std::size_t>(b)].data());
+    }
+
+    // Forward Part 1+2 (interp) from identical grids.
+    for (const ConvTask& task : plan.plan().tasks) {
+      const ConvRange r = plan.conv_range(task, false);
+      spec->interp(r, grids.data(), nb, st, spec_ptrs.data());
+      runtime->interp(r, grids.data(), nb, st, rt_ptrs.data());
+    }
+    for (index_t b = 0; b < nb; ++b) {
+      expect_bitwise_equal(outs_spec[static_cast<std::size_t>(b)],
+                           outs_rt[static_cast<std::size_t>(b)],
+                           "interp lane " + std::to_string(b));
+    }
+
+    // Adjoint Part 1+2 (spread) into the global grids, task by task.
+    cvecf gs(static_cast<std::size_t>(nb) * grid_elems, cfloat(0.0f, 0.0f));
+    cvecf gr = gs;
+    for (const ConvTask& task : plan.plan().tasks) {
+      const ConvRange r = plan.conv_range(task, false);
+      spec->spread(r, raw_ptrs.data(), nb, gs.data(), st);
+      runtime->spread(r, raw_ptrs.data(), nb, gr.data(), st);
+    }
+    expect_bitwise_equal(gs, gr, "spread");
+
+    // Spread into every task's private box (box-local rebased indices — the
+    // privatized path; the box covers the partition ± the kernel radius, so
+    // it is valid for every task, privatized or not).
+    for (const ConvTask& task : plan.plan().tasks) {
+      const auto box = static_cast<std::size_t>(task.box_elems(g.dim));
+      const auto bst = box_strides(task, g.dim);
+      cvecf bs(static_cast<std::size_t>(nb) * box, cfloat(0.0f, 0.0f));
+      cvecf br = bs;
+      const ConvRange r = plan.conv_range(task, true);
+      spec->spread(r, raw_ptrs.data(), nb, bs.data(), bst);
+      runtime->spread(r, raw_ptrs.data(), nb, br.data(), bst);
+      expect_bitwise_equal(bs, br, "private-box spread");
+      if (::testing::Test::HasFatalFailure()) return;
+    }
+  }
+}
+
 /// Run the constexpr-W variant for `key` and the runtime-width variant of
 /// the same (backend, dim, evaluator) over every task range of a plan for
-/// `set`, at nb = 1 and nb = 3 slabs, and compare bitwise: interp outputs,
-/// spreads into the global grid, and spreads into each task's private box.
+/// `set`, at nb = 1 and nb ∈ {2, 3, 4, 5, 16} interleaved lanes (every lane
+/// tail of the SSE and AVX2 lane kernels), and compare bitwise.
 void compare_variant(const ConvVariantKey& key, const GridDesc& g, const SampleSet& set,
                      int threads = 1, double privatization_factor = 1.0) {
   ConvVariantKey runtime_key = key;
@@ -193,62 +259,7 @@ void compare_variant(const ConvVariantKey& key, const GridDesc& g, const SampleS
   cfg.privatization_factor = privatization_factor;
   const Nufft plan(g, set, cfg);
   ASSERT_EQ(&plan.conv_variant(), spec) << "plan did not bind " << spec->name;
-
-  const auto st = g.grid_strides();
-  const auto grid_elems = static_cast<std::size_t>(g.grid_elems());
-  const index_t count = set.count();
-  for (const index_t nb : {index_t{1}, index_t{3}}) {
-    SCOPED_TRACE(spec->name + " nb=" + std::to_string(nb));
-    const cvecf grids = testing::random_raw(nb * g.grid_elems(), 7);
-    std::vector<cvecf> raws;
-    std::vector<cvecf> outs_spec(static_cast<std::size_t>(nb), cvecf(static_cast<std::size_t>(count)));
-    std::vector<cvecf> outs_rt = outs_spec;
-    std::vector<const cfloat*> raw_ptrs;
-    std::vector<cfloat*> spec_ptrs, rt_ptrs;
-    for (index_t b = 0; b < nb; ++b) {
-      raws.push_back(testing::random_raw(count, 11 + static_cast<std::uint64_t>(b)));
-      raw_ptrs.push_back(raws.back().data());
-      spec_ptrs.push_back(outs_spec[static_cast<std::size_t>(b)].data());
-      rt_ptrs.push_back(outs_rt[static_cast<std::size_t>(b)].data());
-    }
-
-    // Forward Part 1+2 (interp) from identical slabs.
-    for (const ConvTask& task : plan.plan().tasks) {
-      const ConvRange r = plan.conv_range(task, false);
-      spec->interp(r, grids.data(), grid_elems, nb, st, spec_ptrs.data());
-      runtime->interp(r, grids.data(), grid_elems, nb, st, rt_ptrs.data());
-    }
-    for (index_t b = 0; b < nb; ++b) {
-      expect_bitwise_equal(outs_spec[static_cast<std::size_t>(b)],
-                           outs_rt[static_cast<std::size_t>(b)],
-                           "interp slab " + std::to_string(b));
-    }
-
-    // Adjoint Part 1+2 (spread) into the global slabs, task by task.
-    cvecf gs(static_cast<std::size_t>(nb) * grid_elems, cfloat(0.0f, 0.0f));
-    cvecf gr = gs;
-    for (const ConvTask& task : plan.plan().tasks) {
-      const ConvRange r = plan.conv_range(task, false);
-      spec->spread(r, raw_ptrs.data(), nb, gs.data(), grid_elems, st);
-      runtime->spread(r, raw_ptrs.data(), nb, gr.data(), grid_elems, st);
-    }
-    expect_bitwise_equal(gs, gr, "spread");
-
-    // Spread into every task's private box (box-local rebased indices — the
-    // privatized path; the box covers the partition ± the kernel radius, so
-    // it is valid for every task, privatized or not).
-    for (const ConvTask& task : plan.plan().tasks) {
-      const auto box = static_cast<std::size_t>(task.box_elems(g.dim));
-      const auto bst = box_strides(task, g.dim);
-      cvecf bs(static_cast<std::size_t>(nb) * box, cfloat(0.0f, 0.0f));
-      cvecf br = bs;
-      const ConvRange r = plan.conv_range(task, true);
-      spec->spread(r, raw_ptrs.data(), nb, bs.data(), box, bst);
-      runtime->spread(r, raw_ptrs.data(), nb, br.data(), box, bst);
-      expect_bitwise_equal(bs, br, "private-box spread");
-      if (::testing::Test::HasFatalFailure()) return;
-    }
-  }
+  compare_bodies(plan, spec, runtime, {1, 2, 3, 4, 5, 16});
 }
 
 // ---- registry shape -------------------------------------------------------
@@ -378,6 +389,26 @@ TEST_EVERY_BACKEND(ConvDispatchBitMatch, PrivatizedTasksMatchGeneric) {
     }
     compare_variant(key, g, set, /*threads=*/2, /*privatization_factor=*/0.25);
     if (::testing::Test::HasFatalFailure()) return;
+  }
+}
+
+TEST(ConvDispatchBitMatch, SseLanesMatchScalarLanes) {
+  // Per lane, the SSE lane kernels run the scalar kernels' multiplies and
+  // adds in the same order, so at nb ≥ 2 the two backends agree bitwise
+  // (same Part 1: neither evaluates Horner rows with AVX2).
+  for (const int dim : {1, 2, 3}) {
+    for (const KernelEval e : {KernelEval::kLut, KernelEval::kHorner}) {
+      const ConvVariantKey scalar_key{ConvBackend::kScalar, static_cast<std::uint8_t>(dim), 8, e};
+      ConvVariantKey sse_key = scalar_key;
+      sse_key.backend = ConvBackend::kSse;
+      const index_t n = image_n_for(dim);
+      const GridDesc g = make_grid(dim, n, 2.0);
+      const auto set = testing::small_trajectory(TrajectoryType::kRandom, dim, n, count_for(dim));
+      const Nufft plan(g, set, cfg_for(scalar_key));
+      compare_bodies(plan, ConvDispatch::instance().find(sse_key),
+                     ConvDispatch::instance().find(scalar_key), {2, 3, 4, 5, 16});
+      if (::testing::Test::HasFatalFailure()) return;
+    }
   }
 }
 

@@ -1,6 +1,7 @@
 // Tests for the batched execution subsystem (src/exec/): BatchNufft
-// equivalence against repeated single applies, PlanRegistry single-flight /
-// LRU / spill behaviour, and concurrent NufftEngine submission. This
+// equivalence against repeated single applies, BatchFft against per-lane
+// transforms, PlanRegistry single-flight / LRU / spill behaviour, and
+// concurrent NufftEngine submission. This
 // executable carries the `concurrency` ctest label and is the target of the
 // -DNUFFT_SANITIZE=thread build.
 #include <gtest/gtest.h>
@@ -11,6 +12,7 @@
 #include <filesystem>
 #include <future>
 #include <limits>
+#include <memory>
 #include <thread>
 #include <tuple>
 #include <vector>
@@ -19,6 +21,8 @@
 #include "core/convolution_avx2.hpp"
 #include "core/nufft.hpp"
 #include "datasets/trajectory.hpp"
+#include "fft/fftnd.hpp"
+#include "exec/batch_fft.hpp"
 #include "exec/batch_nufft.hpp"
 #include "exec/engine.hpp"
 #include "exec/plan_registry.hpp"
@@ -204,6 +208,126 @@ TEST(BatchNufft, SingleSlabMatchesNufftBitwise) {
       batch.adjoint(f.raws[0].data(), agot.data(), 1);
       EXPECT_TRUE(bitwise_equal(fgot.data(), fref.data(), f.set.count())) << "forward";
       EXPECT_TRUE(bitwise_equal(agot.data(), aref.data(), f.g.image_elems())) << "adjoint";
+    }
+  }
+}
+
+// --- BatchFft vs. per-lane FftNd::transform_pruned --------------------------
+
+/// The plan's FFT pair for an n-point image on a 2n grid: built with the
+/// image-support rows [0, n − n/2) ∪ [m − n/2, m) of every dimension.
+struct FftPair {
+  GridDesc g;
+  std::vector<std::vector<index_t>> support;
+  std::unique_ptr<fft::FftNd<float>> fwd;
+  std::unique_ptr<fft::FftNd<float>> inv;
+};
+
+FftPair make_fft_pair(int dim, index_t n) {
+  FftPair p;
+  p.g = make_grid(dim, n, 2.0);
+  std::vector<std::size_t> dims;
+  for (int d = 0; d < dim; ++d) {
+    const index_t m = p.g.m[static_cast<std::size_t>(d)];
+    dims.push_back(static_cast<std::size_t>(m));
+    auto& rows = p.support.emplace_back();
+    for (index_t i = 0; i < m; ++i) {
+      if (i < n - n / 2 || i >= m - n / 2) rows.push_back(i);
+    }
+  }
+  p.fwd = std::make_unique<fft::FftNd<float>>(dims, fft::Direction::kForward, p.support);
+  p.inv = std::make_unique<fft::FftNd<float>>(dims, fft::Direction::kInverse, p.support);
+  return p;
+}
+
+/// Every cell of the support box S, in grid order.
+std::vector<index_t> support_cells(const FftPair& p) {
+  const auto st = p.g.grid_strides();
+  std::vector<index_t> cells{0};
+  for (int d = 0; d < p.g.dim; ++d) {
+    std::vector<index_t> next;
+    for (const index_t c : cells) {
+      for (const index_t r : p.support[static_cast<std::size_t>(d)]) {
+        next.push_back(c + r * st[static_cast<std::size_t>(d)]);
+      }
+    }
+    cells = std::move(next);
+  }
+  return cells;
+}
+
+/// Transform nb random lanes (zero outside S, the forward's precondition)
+/// both ways: interleaved through BatchFft, and each lane alone through
+/// FftNd::transform_pruned. `bitwise` compares every cell with memcmp,
+/// otherwise the support cells to 1e-6 relative.
+void check_batch_fft(const FftPair& p, index_t nb, fft::Direction dir, int threads,
+                     bool batched_stages, bool bitwise) {
+  SCOPED_TRACE("dim=" + std::to_string(p.g.dim) + " m=" + std::to_string(p.g.m[0]) +
+               " nb=" + std::to_string(nb) + " threads=" + std::to_string(threads) +
+               (dir == fft::Direction::kForward ? " forward" : " inverse"));
+  const index_t cells = p.g.grid_elems();
+  const std::vector<index_t> sup = support_cells(p);
+  std::vector<cvecf> lanes;
+  cvecf grids(static_cast<std::size_t>(nb * cells), cfloat(0.0f, 0.0f));
+  for (index_t b = 0; b < nb; ++b) {
+    const cvecf vals = testing::random_raw(static_cast<index_t>(sup.size()), 300 + b);
+    cvecf& lane = lanes.emplace_back(static_cast<std::size_t>(cells), cfloat(0.0f, 0.0f));
+    for (std::size_t i = 0; i < sup.size(); ++i) {
+      lane[static_cast<std::size_t>(sup[i])] = vals[i];
+      grids[static_cast<std::size_t>(sup[i] * nb + b)] = vals[i];
+    }
+  }
+  ThreadPool pool(threads);
+  exec::BatchFft bfft(p.g, *p.fwd, *p.inv, nb, 1);
+  bfft.transform(grids.data(), nb, dir, pool, batched_stages);
+  const fft::FftNd<float>& plan = dir == fft::Direction::kForward ? *p.fwd : *p.inv;
+  for (index_t b = 0; b < nb; ++b) {
+    cvecf& want = lanes[static_cast<std::size_t>(b)];
+    plan.transform_pruned(want.data(), pool);
+    cvecf got(static_cast<std::size_t>(cells));
+    for (index_t c = 0; c < cells; ++c) {
+      got[static_cast<std::size_t>(c)] = grids[static_cast<std::size_t>(c * nb + b)];
+    }
+    if (bitwise) {
+      EXPECT_TRUE(bitwise_equal(got.data(), want.data(), cells)) << "lane " << b;
+      continue;
+    }
+    cvecf gs, ws;
+    for (const index_t c : sup) {
+      gs.push_back(got[static_cast<std::size_t>(c)]);
+      ws.push_back(want[static_cast<std::size_t>(c)]);
+    }
+    EXPECT_LT(testing::rel_err(gs.data(), ws.data(), static_cast<index_t>(gs.size())), 1e-6)
+        << "lane " << b;
+  }
+}
+
+TEST(BatchFft, InterleavedStagesMatchPerLaneTransforms) {
+  for (const int dim : {1, 2, 3}) {
+    const FftPair p = make_fft_pair(dim, dim == 3 ? 8 : 16);
+    for (const index_t nb : {2, 3, 4, 5, 16}) {
+      for (const int threads : {1, 2, 4}) {
+        for (const auto dir : {fft::Direction::kForward, fft::Direction::kInverse}) {
+          check_batch_fft(p, nb, dir, threads, /*batched_stages=*/true, /*bitwise=*/false);
+        }
+      }
+    }
+  }
+}
+
+TEST(BatchFft, PerLanePathIsBitwiseThePlanTransform) {
+  // A non-power-of-two axis (m = 20) takes the per-lane path even with the
+  // batched stages requested; a power-of-two grid takes it when they are not
+  // (the scalar convolution backend). Either way each lane is exactly the
+  // plan's own transform.
+  for (const int dim : {1, 2, 3}) {
+    const FftPair odd = make_fft_pair(dim, 10);
+    const FftPair pow2 = make_fft_pair(dim, 8);
+    for (const index_t nb : {2, 5}) {
+      for (const auto dir : {fft::Direction::kForward, fft::Direction::kInverse}) {
+        check_batch_fft(odd, nb, dir, 2, /*batched_stages=*/true, /*bitwise=*/true);
+        check_batch_fft(pow2, nb, dir, 2, /*batched_stages=*/false, /*bitwise=*/true);
+      }
     }
   }
 }

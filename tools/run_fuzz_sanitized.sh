@@ -8,8 +8,10 @@
 # the convolution-dispatch suite (`ctest -L dispatch`, the constexpr-W vs
 # runtime-width bit-match matrix and the boundary-coordinate trim sweep),
 # the batched-execution suite (`ctest -L concurrency`, nufft_exec_tests —
-# BatchNufft drives the multi-slab sample-block staging of the
-# core/conv_variants.hpp templates, plus the registry and engine),
+# BatchNufft drives the lane kernels over cell-interleaved grids and the
+# interleaved BatchFft passes, plus the registry and engine), the
+# fault-injection suite (`ctest -L faults`, nufft_fault_tests — BatchNufft's
+# SIMD→scalar and privatization downgrades rerun those paths),
 # the streaming plan-update suite (`ctest -L streaming`, the warm-vs-cold
 # bit-match matrix — under TSan this races concurrent update-vs-apply paths
 # on the pool), the serving-layer suite (`ctest -L serve`) and the chaos
@@ -50,9 +52,9 @@ for san in "${sanitizers[@]}"; do
   cmake --build "${build}" -j --target nufft_fuzz_tests --target nufft_accuracy_tests \
     --target nufft_fft_tests --target nufft_preproc_tests --target nufft_dispatch_tests \
     --target nufft_streaming_tests --target nufft_serve_tests --target nufft_chaos_tests \
-    --target nufft_exec_tests
-  echo "=== ${san} sanitizer: ctest -L 'fuzz|accuracy|fft|preproc|dispatch|concurrency|streaming|serve|chaos' ==="
-  (cd "${build}" && ctest -L 'fuzz|accuracy|fft|preproc|dispatch|concurrency|streaming|serve|chaos' --output-on-failure)
+    --target nufft_exec_tests --target nufft_fault_tests
+  echo "=== ${san} sanitizer: ctest -L 'fuzz|accuracy|fft|preproc|dispatch|concurrency|faults|streaming|serve|chaos' ==="
+  (cd "${build}" && ctest -L 'fuzz|accuracy|fft|preproc|dispatch|concurrency|faults|streaming|serve|chaos' --output-on-failure)
 done
 
-echo "All sanitized fuzz + accuracy + fft + preproc + dispatch + concurrency + streaming + serve + chaos runs passed."
+echo "All sanitized fuzz + accuracy + fft + preproc + dispatch + concurrency + faults + streaming + serve + chaos runs passed."
