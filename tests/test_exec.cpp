@@ -21,6 +21,7 @@
 #include "core/convolution_avx2.hpp"
 #include "core/nufft.hpp"
 #include "datasets/trajectory.hpp"
+#include "digest.hpp"
 #include "fft/fftnd.hpp"
 #include "exec/batch_fft.hpp"
 #include "exec/batch_nufft.hpp"
@@ -179,15 +180,37 @@ INSTANTIATE_TEST_SUITE_P(DimsIsa, BatchSimdEquivalence,
                                   (std::get<1>(info.param) == SimdIsa::kSse ? "sse" : "avx2");
                          });
 
+// Forward / adjoint output digests (testing::digest64) of the nb = 1 apply
+// on make_fixture(dim)'s first image and raw vector, one thread, recorded
+// from the single-RHS operator before the batched and single-RHS drivers
+// were merged. Rows are dims 1-3, columns the scalar / SSE / AVX2 backends.
+struct PairDigest {
+  std::uint64_t forward;
+  std::uint64_t adjoint;
+};
+constexpr PairDigest kSingleSlabDigests[3][3] = {
+    {{0x999cf09b9ea7abbd, 0x8c9017f9942272b8},
+     {0x76cc0243c4162f15, 0x8c9017f9942272b8},
+     {0xc3a173c32b27ac0d, 0xa5641edaf5a675cd}},
+    {{0x6fac35ebcd740e63, 0x71212194125ae5ee},
+     {0xd1702585de3cd464, 0x71212194125ae5ee},
+     {0xda2764878290aafd, 0xa20fdb5ea705d1a2}},
+    {{0xd17041b44c4f14e4, 0xdfc1b8fcc3b49ec4},
+     {0x461337b50425c834, 0xdfc1b8fcc3b49ec4},
+     {0x7468b5fde1c54d09, 0x755c6f09e8c17862}},
+};
+
 TEST(BatchNufft, SingleSlabMatchesNufftBitwise) {
-  // At nb = 1 the batched apply runs the plan's own passes — the bound
-  // variant's single-RHS body and the plan's pruned FFT — so every backend
-  // reproduces Nufft::forward/adjoint to the bit (one thread: same schedule).
+  // The plan's convenience apply and a one-lane BatchNufft run the same
+  // driver; both must reproduce the recorded bits on every backend (one
+  // thread: a fixed spread schedule).
   for (const int dim : {1, 2, 3}) {
     for (const ConvBackend backend :
          {ConvBackend::kScalar, ConvBackend::kSse, ConvBackend::kAvx2}) {
       if (backend == ConvBackend::kAvx2 && !avx2_available()) continue;
       SCOPED_TRACE(std::to_string(dim) + "d " + conv_backend_name(backend));
+      const PairDigest want =
+          kSingleSlabDigests[dim - 1][static_cast<std::size_t>(backend)];
       Fixture f = make_fixture(dim);
       PlanConfig cfg;
       cfg.threads = 1;
@@ -200,6 +223,12 @@ TEST(BatchNufft, SingleSlabMatchesNufftBitwise) {
       cvecf aref(static_cast<std::size_t>(f.g.image_elems()));
       plan.forward(f.images[0].data(), fref.data());
       plan.adjoint(f.raws[0].data(), aref.data());
+      EXPECT_EQ(testing::digest_hex(testing::digest64(fref.data(), f.set.count())),
+                testing::digest_hex(want.forward))
+          << "forward";
+      EXPECT_EQ(testing::digest_hex(testing::digest64(aref.data(), f.g.image_elems())),
+                testing::digest_hex(want.adjoint))
+          << "adjoint";
 
       BatchNufft batch(plan, 1);
       cvecf fgot(fref.size());
