@@ -4,7 +4,7 @@
 // path with a *named site*:
 //
 //   fault::inject("registry.build", ErrorCode::kBuildFailure);  // may throw
-//   fault::inject_alloc("batch.private_alloc");                 // may throw bad_alloc
+//   fault::inject_alloc("workspace.private_alloc");             // may throw bad_alloc
 //   if (fault::should_fail("registry.spill.corrupt")) { ... }   // caller acts
 //   fault::maybe_stall("engine.apply.stall");                   // may sleep
 //

@@ -1,4 +1,4 @@
-#include "exec/batch_fft.hpp"
+#include "core/batch_fft.hpp"
 
 #include <algorithm>
 
@@ -6,7 +6,7 @@
 #include "core/convolution_avx2.hpp"
 #include "fft/fft1d.hpp"
 
-namespace nufft::exec {
+namespace nufft {
 
 using fft::Direction;
 
@@ -20,14 +20,12 @@ BatchFft::BatchFft(const GridDesc& g, const fft::FftNd<float>& fwd, const fft::F
   st_ = g_.grid_strides();
   cells_ = g_.grid_elems();
   std::array<std::vector<index_t>, 3> full;
-  std::size_t max_len = 1;
   for (int d = 0; d < g_.dim; ++d) {
     const auto ds = static_cast<std::size_t>(d);
     const auto m = static_cast<std::size_t>(g_.m[ds]);
     full[ds].resize(m);
     for (std::size_t i = 0; i < m; ++i) full[ds][i] = static_cast<index_t>(i);
     all_pow2_ = all_pow2_ && fft::is_pow2(m);
-    max_len = std::max(max_len, m);
   }
 
   // Row groups of each axis pass. The rows are the products of the
@@ -84,9 +82,22 @@ BatchFft::BatchFft(const GridDesc& g, const fft::FftNd<float>& fwd, const fft::F
     }
   }
 
-  scratch_elems_ = 2 * max_len * pad_cols(static_cast<std::size_t>(kRowBlock * max_lanes_));
+  scratch_elems_ = scratch_elems(g_, max_lanes_, avx2_);
   scratch_.resize(static_cast<std::size_t>(std::max(threads, 1)));
   for (auto& s : scratch_) s.resize(scratch_elems_);
+}
+
+std::size_t BatchFft::scratch_elems(const GridDesc& g, index_t max_lanes, bool avx2) {
+  std::size_t max_len = 1;
+  for (int d = 0; d < g.dim; ++d) {
+    max_len = std::max(max_len, static_cast<std::size_t>(g.m[static_cast<std::size_t>(d)]));
+  }
+  return 2 * max_len * pad_cols(static_cast<std::size_t>(kRowBlock * max_lanes), avx2);
+}
+
+std::size_t BatchFft::scratch_bytes(const GridDesc& g, index_t max_lanes, int threads) {
+  return static_cast<std::size_t>(std::max(threads, 1)) *
+         scratch_elems(g, std::max<index_t>(max_lanes, 1), avx2_available()) * sizeof(cfloat);
 }
 
 void BatchFft::transform(cfloat* grids, index_t nb, Direction dir, ThreadPool& pool,
@@ -157,7 +168,7 @@ void BatchFft::axis_pass(cfloat* grids, index_t nb, std::size_t axis, Direction 
     for (index_t gi = gb; gi < ge; ++gi) {
       const Group grp = groups[static_cast<std::size_t>(gi)];
       const std::size_t run = static_cast<std::size_t>(grp.blk) * lanes;
-      const std::size_t cols = pad_cols(run);
+      const std::size_t cols = pad_cols(run, avx2_);
       cfloat* row = grids + static_cast<std::size_t>(grp.base) * lanes;
       cfloat* cur = buf;
       cfloat* alt = buf + len * cols;
@@ -179,4 +190,4 @@ void BatchFft::axis_pass(cfloat* grids, index_t nb, std::size_t axis, Direction 
   });
 }
 
-}  // namespace nufft::exec
+}  // namespace nufft

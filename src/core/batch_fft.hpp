@@ -32,7 +32,7 @@
 #include "fft/fftnd.hpp"
 #include "parallel/thread_pool.hpp"
 
-namespace nufft::exec {
+namespace nufft {
 
 class BatchFft {
  public:
@@ -50,6 +50,10 @@ class BatchFft {
   void transform(cfloat* grids, index_t nb, fft::Direction dir, ThreadPool& pool,
                  bool batched_stages);
 
+  /// Bytes of pass scratch a BatchFft for `max_lanes` lanes on `threads`
+  /// contexts allocates at construction.
+  static std::size_t scratch_bytes(const GridDesc& g, index_t max_lanes, int threads);
+
  private:
   /// Up to kRowBlock rows along one axis that are adjacent along the
   /// contiguous grid dimension: the first row's first cell, and the count.
@@ -64,10 +68,12 @@ class BatchFft {
   void per_lane(cfloat* grids, index_t nb, const fft::FftNd<float>& plan, ThreadPool& pool);
   /// Column count of a transform over `run` columns: padded (zeroed pad
   /// columns) to the stage width, 4 complex per AVX2 op, 2 per SSE op.
-  std::size_t pad_cols(std::size_t run) const {
-    const std::size_t pad = avx2_ ? 3 : 1;
+  static std::size_t pad_cols(std::size_t run, bool avx2) {
+    const std::size_t pad = avx2 ? 3 : 1;
     return (run + pad) & ~pad;
   }
+  /// Per-context scratch elements: ping-pong buffers for the longest axis.
+  static std::size_t scratch_elems(const GridDesc& g, index_t max_lanes, bool avx2);
 
   GridDesc g_;
   std::array<index_t, 3> st_{1, 1, 1};
@@ -83,4 +89,4 @@ class BatchFft {
   cvecf lane_;  // the per-lane path's grid, allocated on first use
 };
 
-}  // namespace nufft::exec
+}  // namespace nufft

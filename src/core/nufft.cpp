@@ -1,9 +1,11 @@
 #include "core/nufft.hpp"
 
+#include <algorithm>
 #include <cmath>
 #include <cstring>
 
 #include "common/error.hpp"
+#include "common/fault.hpp"
 #include "common/timer.hpp"
 #include "core/conv_dispatch.hpp"
 #include "core/convolution.hpp"
@@ -200,16 +202,8 @@ UpdatePath Nufft::update_samples(const datasets::SampleSet& new_samples,
   nsamples_ = new_samples.count();
   ++plan_stats_.generation;
   plan_stats_.warm_updated = path == UpdatePath::kWarm;
-  // Reconcile the plan-owned workspace with the new privatization marks:
-  // keep already-sized buffers, size newly privatized ones, release the rest.
-  ws_.private_bufs.resize(pp_.tasks.size());
-  for (std::size_t k = 0; k < pp_.tasks.size(); ++k) {
-    if (pp_.privatized[k]) {
-      ws_.private_bufs[k].resize(static_cast<std::size_t>(pp_.tasks[k].box_elems(g_.dim)));
-    } else if (!ws_.private_bufs[k].empty()) {
-      cvecf().swap(ws_.private_bufs[k]);
-    }
-  }
+  // Reconcile the plan-owned workspace with the new privatization marks.
+  fit_private_bufs(ws_);
   return path;
 }
 
@@ -229,24 +223,54 @@ ConvRange Nufft::conv_range(const ConvTask& task, bool box_local) const {
   return r;
 }
 
-Workspace Nufft::make_workspace() const {
+Workspace Nufft::make_workspace(index_t lanes) const {
   Workspace ws;
-  ws.grid.resize(static_cast<std::size_t>(g_.grid_elems()));
-  ws.private_bufs.resize(pp_.tasks.size());
-  for (std::size_t k = 0; k < pp_.tasks.size(); ++k) {
-    if (pp_.privatized[k]) {
-      ws.private_bufs[k].resize(static_cast<std::size_t>(pp_.tasks[k].box_elems(g_.dim)));
-    }
+  ws.lanes = std::min<index_t>(std::max<index_t>(lanes, 1), kMaxBatch);
+  // The grids are the irreducible working set — without them there is no
+  // apply at all, so this allocation failure propagates.
+  ws.grid.resize(static_cast<std::size_t>(ws.lanes) * static_cast<std::size_t>(g_.grid_elems()));
+  fit_private_bufs(ws);
+  if (ws.lanes >= 2) {
+    ws.bfft = std::make_unique<BatchFft>(g_, *fft_fwd_, *fft_inv_, ws.lanes, pool_->size());
   }
   return ws;
 }
 
-std::size_t Nufft::workspace_bytes() const {
+void Nufft::fit_private_bufs(Workspace& ws) const {
+  // The private reduction buffers are an optimization: when they cannot be
+  // allocated (L × box_elems per over-dense task can dwarf the grids on
+  // dense trajectories), degrade to the TDG-serialized direct-scatter path
+  // instead of failing.
+  if (!ws.privatization_downgraded) {
+    try {
+      fault::inject_alloc("workspace.private_alloc");
+      ws.private_bufs.resize(pp_.tasks.size());
+      for (std::size_t k = 0; k < pp_.tasks.size(); ++k) {
+        if (pp_.privatized[k]) {
+          ws.private_bufs[k].resize(static_cast<std::size_t>(ws.lanes) *
+                                    static_cast<std::size_t>(pp_.tasks[k].box_elems(g_.dim)));
+        } else if (!ws.private_bufs[k].empty()) {
+          cvecf().swap(ws.private_bufs[k]);
+        }
+      }
+      return;
+    } catch (const std::bad_alloc&) {
+      std::vector<cvecf>().swap(ws.private_bufs);
+      ws.privatization_downgraded = true;
+    }
+  }
+  ws.privatized_off.assign(pp_.tasks.size(), 0);
+}
+
+std::size_t Nufft::workspace_bytes(index_t lanes) const {
+  lanes = std::min<index_t>(std::max<index_t>(lanes, 1), kMaxBatch);
   std::size_t elems = static_cast<std::size_t>(g_.grid_elems());
   for (std::size_t k = 0; k < pp_.tasks.size(); ++k) {
     if (pp_.privatized[k]) elems += static_cast<std::size_t>(pp_.tasks[k].box_elems(g_.dim));
   }
-  return elems * sizeof(cfloat);
+  std::size_t bytes = static_cast<std::size_t>(lanes) * elems * sizeof(cfloat);
+  if (lanes >= 2) bytes += BatchFft::scratch_bytes(g_, lanes, pool_->size());
+  return bytes;
 }
 
 void Nufft::clear_slabs(cfloat* slabs, std::size_t elems, ThreadPool& pool) {
@@ -377,8 +401,9 @@ void Nufft::grid_to_image(cfloat* image) const {
   slabs_to_images(ws_.grid.data(), 1, &image, *pool_);
 }
 
-void Nufft::interp_slabs(const ConvVariant& v, const cfloat* slabs, index_t nb,
-                         cfloat* const* raws, ThreadPool& pool) const {
+void Nufft::interp_slabs(const cfloat* slabs, index_t nb, cfloat* const* raws,
+                         ThreadPool& pool) const {
+  const ConvVariant& v = *conv_variant_;
   const auto st = g_.grid_strides();
   pool.parallel_for_tid(static_cast<index_t>(pp_.tasks.size()), 1,
                         [&](int, index_t kb, index_t ke) {
@@ -390,12 +415,14 @@ void Nufft::interp_slabs(const ConvVariant& v, const cfloat* slabs, index_t nb,
 }
 
 void Nufft::interp(cfloat* raw) {
-  interp_slabs(*conv_variant_, ws_.grid.data(), 1, &raw, *pool_);
+  interp_slabs(ws_.grid.data(), 1, &raw, *pool_);
 }
 
-SchedulerStats Nufft::spread_slabs(const ConvVariant& v, const cfloat* const* raws, index_t nb,
-                                   cfloat* slabs, std::vector<cvecf>& private_bufs,
-                                   const std::vector<char>& privatized, ThreadPool& pool) const {
+SchedulerStats Nufft::spread_slabs(const cfloat* const* raws, index_t nb, Workspace& ws,
+                                   ThreadPool& pool) const {
+  const ConvVariant& v = *conv_variant_;
+  cfloat* slabs = ws.grid.data();
+  std::vector<cvecf>& private_bufs = ws.private_bufs;
   const int dim = g_.dim;
   const auto st = g_.grid_strides();
   auto body = [&](int task_id, int, JobPhase phase) {
@@ -455,90 +482,120 @@ SchedulerStats Nufft::spread_slabs(const ConvVariant& v, const cfloat* const* ra
   SchedulerConfig scfg;
   scfg.priority_queue = cfg_.priority_queue;
   scfg.record_trace = cfg_.record_trace;
+  // A downgraded workspace's all-zero mask routes every task through the
+  // TDG-serialized direct-scatter path.
+  const auto& privatized = ws.privatization_downgraded ? ws.privatized_off : pp_.privatized;
   return run_task_graph(*pp_.graph, pp_.weights, privatized, pool, body, scfg);
-}
-
-void Nufft::run_spread(const cfloat* raw, Workspace& ws, ThreadPool& pool,
-                       OperatorStats* stats) const {
-  SchedulerStats sstats =
-      spread_slabs(*conv_variant_, &raw, 1, ws.grid.data(), ws.private_bufs, pp_.privatized, pool);
-  if (stats != nullptr) {
-    // Accumulate, don't overwrite: the caller resets the struct at apply
-    // entry, and a batched apply walks the scheduler once per chunk.
-    stats->add_scheduler_pass(sstats.tasks, sstats.privatized_tasks,
-                              sstats.busy_ns_per_context);
-  }
-  ws.trace = std::move(sstats.trace);
 }
 
 void Nufft::spread(const cfloat* raw) {
   clear_grid();
-  run_spread(raw, ws_, *pool_, nullptr);
+  ws_.trace = std::move(spread_slabs(&raw, 1, ws_, *pool_).trace);
 }
 
-void Nufft::forward(const cfloat* image, cfloat* raw, Workspace& ws, ThreadPool& pool) const {
-  ws.fwd_stats = OperatorStats{};
-  obs::Span apply("nufft.forward", "core");
-  Timer total;
-  Timer t;
-  {
-    obs::Span s("nufft.scale", "core");
-    images_to_slabs(&image, 1, ws.grid.data(), pool);
+void Nufft::fft_slabs(Workspace& ws, index_t nb, fft::Direction dir, ThreadPool& pool) const {
+  if (nb == 1) {
+    (dir == fft::Direction::kForward ? fft_fwd_ : fft_inv_)->transform_pruned(ws.grid.data(), pool);
+    return;
   }
-  ws.fwd_stats.scale_s = t.seconds();
-
-  t.reset();
-  {
-    obs::Span s("nufft.fft", "core");
-    fft_fwd_->transform_pruned(ws.grid.data(), pool);
-  }
-  ws.fwd_stats.fft_s = t.seconds();
-
-  t.reset();
-  {
-    obs::Span s("nufft.conv", "core");
-    interp_slabs(*conv_variant_, ws.grid.data(), 1, &raw, pool);
-  }
-  ws.fwd_stats.conv_s = t.seconds();
-  ws.fwd_stats.total_s = total.seconds();
+  const bool batched_stages = conv_variant_->key.backend != ConvBackend::kScalar;
+  ws.bfft->transform(ws.grid.data(), nb, dir, pool, batched_stages);
 }
 
-void Nufft::forward(const cfloat* image, cfloat* raw) { forward(image, raw, ws_, *pool_); }
-
-void Nufft::adjoint(const cfloat* raw, cfloat* image, Workspace& ws, ThreadPool& pool) const {
-  ws.adj_stats = OperatorStats{};
-  obs::Span apply("nufft.adjoint", "core");
-  Timer total;
+void Nufft::forward_chunk(const cfloat* const* images, cfloat* const* raws, index_t nb,
+                          Workspace& ws, ThreadPool& pool) const {
   Timer t;
   {
-    obs::Span s("nufft.scale", "core");
-    clear_slabs(ws.grid.data(), ws.grid.size(), pool);
+    obs::Span s("nufft.scale", "core", nb);
+    images_to_slabs(images, nb, ws.grid.data(), pool);
   }
-  ws.adj_stats.scale_s = t.seconds();
+  ws.fwd_stats.scale_s += t.seconds();
 
   t.reset();
   {
-    obs::Span s("nufft.conv", "core");
-    run_spread(raw, ws, pool, &ws.adj_stats);
+    obs::Span s("nufft.fft", "core", nb);
+    fft_slabs(ws, nb, fft::Direction::kForward, pool);
   }
-  ws.adj_stats.conv_s = t.seconds();
+  ws.fwd_stats.fft_s += t.seconds();
 
   t.reset();
   {
-    obs::Span s("nufft.fft", "core");
-    fft_inv_->transform_pruned(ws.grid.data(), pool);
+    obs::Span s("nufft.conv", "core", nb);
+    interp_slabs(ws.grid.data(), nb, raws, pool);
   }
-  ws.adj_stats.fft_s = t.seconds();
+  ws.fwd_stats.conv_s += t.seconds();
+}
 
-  t.reset();
+void Nufft::adjoint_chunk(const cfloat* const* raws, cfloat* const* images, index_t nb,
+                          Workspace& ws, ThreadPool& pool) const {
+  Timer t;
   {
-    obs::Span s("nufft.scale", "core");
-    slabs_to_images(ws.grid.data(), 1, &image, pool);
+    obs::Span s("nufft.scale", "core", nb);
+    clear_slabs(ws.grid.data(), static_cast<std::size_t>(nb * g_.grid_elems()), pool);
   }
   ws.adj_stats.scale_s += t.seconds();
-  ws.adj_stats.total_s = total.seconds();
+
+  t.reset();
+  {
+    obs::Span s("nufft.conv", "core", nb);
+    SchedulerStats sstats = spread_slabs(raws, nb, ws, pool);
+    // Accumulate element-wise: an apply of more slices than lanes walks the
+    // scheduler once per chunk, and its load-balance record covers them all.
+    ws.adj_stats.add_scheduler_pass(sstats.tasks, sstats.privatized_tasks,
+                                    sstats.busy_ns_per_context);
+    if (ws.trace.empty()) {
+      ws.trace = std::move(sstats.trace);
+    } else {
+      ws.trace.insert(ws.trace.end(), sstats.trace.begin(), sstats.trace.end());
+    }
+  }
+  ws.adj_stats.conv_s += t.seconds();
+
+  t.reset();
+  {
+    obs::Span s("nufft.fft", "core", nb);
+    fft_slabs(ws, nb, fft::Direction::kInverse, pool);
+  }
+  ws.adj_stats.fft_s += t.seconds();
+
+  t.reset();
+  {
+    obs::Span s("nufft.scale", "core", nb);
+    slabs_to_images(ws.grid.data(), nb, images, pool);
+  }
+  ws.adj_stats.scale_s += t.seconds();
 }
 
-void Nufft::adjoint(const cfloat* raw, cfloat* image) { adjoint(raw, image, ws_, *pool_); }
+void Nufft::forward(const cfloat* const* images, cfloat* const* raws, index_t nb, Workspace& ws,
+                    ThreadPool& pool) const {
+  NUFFT_CHECK(nb >= 1);
+  ws.fwd_stats = OperatorStats{};
+  ws.trace.clear();
+  obs::Span apply("nufft.forward", "core", nb);
+  Timer total;
+  for (index_t off = 0; off < nb; off += ws.lanes) {
+    forward_chunk(images + off, raws + off, std::min(ws.lanes, nb - off), ws, pool);
+  }
+  ws.fwd_stats.total_s = total.seconds();
+  ws.fwd_stats.privatization_downgraded = ws.privatization_downgraded;
+}
+
+void Nufft::adjoint(const cfloat* const* raws, cfloat* const* images, index_t nb, Workspace& ws,
+                    ThreadPool& pool) const {
+  NUFFT_CHECK(nb >= 1);
+  ws.adj_stats = OperatorStats{};
+  ws.trace.clear();
+  obs::Span apply("nufft.adjoint", "core", nb);
+  Timer total;
+  for (index_t off = 0; off < nb; off += ws.lanes) {
+    adjoint_chunk(raws + off, images + off, std::min(ws.lanes, nb - off), ws, pool);
+  }
+  ws.adj_stats.total_s = total.seconds();
+  ws.adj_stats.privatization_downgraded = ws.privatization_downgraded;
+}
+
+void Nufft::forward(const cfloat* image, cfloat* raw) { forward(&image, &raw, 1, ws_, *pool_); }
+
+void Nufft::adjoint(const cfloat* raw, cfloat* image) { adjoint(&raw, &image, 1, ws_, *pool_); }
 
 }  // namespace nufft

@@ -15,27 +15,30 @@
 // Concurrency contract (the workspace-lease model): a plan is built once per
 // trajectory (preprocessing: partitioning, task graph, sample reorder) and is
 // immutable afterwards — tables, task graph and FFT plans are only read by
-// applies. All mutable per-apply state (the oversampled grid, private
-// reduction buffers, stats, trace) lives in a `Workspace`. The const
-// `forward`/`adjoint` overloads take an explicit workspace and thread pool
-// and may run concurrently on the same plan as long as each call holds its
-// own workspace and pool — `exec::NufftEngine` leases workspaces per job on
-// exactly this contract. The legacy non-const overloads use a workspace and
-// pool owned by the plan and therefore remain single-caller-at-a-time; they
-// exist for convenience and for the component benchmarks.
+// applies. All mutable per-apply state (the oversampled grids, private
+// reduction buffers, batched-FFT scratch, stats, trace) lives in a
+// `Workspace`. The const `forward`/`adjoint` overloads take an explicit
+// workspace and thread pool and may run concurrently on the same plan as
+// long as each call holds its own workspace and pool — `exec::NufftEngine`
+// leases workspaces per job on exactly this contract. The non-const
+// convenience overloads use a one-lane workspace and a pool owned by the
+// plan and therefore remain single-caller-at-a-time; they exist for
+// convenience and for the component benchmarks.
 //
-// Batched applies (B right-hand sides per scheduler walk) are layered on the
-// same contract by `exec::BatchNufft`, which stores B oversampled grids
-// cell-interleaved (lane b of cell c at offset c·B + b; at B = 1 exactly the
-// single grid); see DESIGN.md §7. The passes around the FFT (scale,
-// convolution, reduce) exist once, here, over nb lanes — this class's own
-// applies run them at nb = 1.
+// One apply driver serves every right-hand-side count (paper §V-E, the
+// cuFINUFFT `ntransf` model): an apply of nb slices runs in chunks of at
+// most the workspace's lane capacity L, each chunk one scale → FFT →
+// convolution (or convolution → FFT → scale) pass over cell-interleaved
+// grids — lane b of cell c at offset c·nb + b, so at nb = 1 exactly the
+// single grid. A single-RHS apply is the nb = 1 case; `exec::BatchNufft`
+// owns an L-lane workspace. See DESIGN.md §7.
 #pragma once
 
 #include <memory>
 #include <vector>
 
 #include "common/types.hpp"
+#include "core/batch_fft.hpp"
 #include "core/conv_dispatch.hpp"
 #include "core/convolution.hpp"
 #include "core/grid.hpp"
@@ -54,14 +57,26 @@ class BatchNufft;
 }
 
 /// Mutable per-apply state, rentable so concurrent applies on one plan never
-/// share buffers. Obtain via Nufft::make_workspace(); the struct is movable
-/// and plan-specific (buffer shapes follow the plan's grid and task list).
+/// share buffers. Obtain via Nufft::make_workspace(lanes); the struct is
+/// movable and plan-specific (buffer shapes follow the plan's grid and task
+/// list).
 struct Workspace {
-  // Oversampled grid, grid_elems() values. After forward() it holds the full
-  // transform; after adjoint() the inverse transform only on the
-  // image-support cells grid_to_image reads (the pruned FFT skips the rest).
+  /// Lane capacity L: slices one driver pass processes (1 ≤ L ≤ kMaxBatch).
+  index_t lanes = 1;
+  // L cell-interleaved oversampled grids, L·grid_elems() values. After a
+  // one-slice forward() lane 0 holds the full transform; after adjoint() the
+  // inverse transform only on the image-support cells the scale pass reads
+  // (the pruned FFT skips the rest).
   cvecf grid;
-  std::vector<cvecf> private_bufs;   // one per privatized task (empty else)
+  // One box per privatized task, L lanes per cell (empty else, and all
+  // empty when privatization_downgraded).
+  std::vector<cvecf> private_bufs;
+  // Set when the private buffers could not be allocated: spreads run every
+  // task through the TDG-serialized direct-scatter path (the all-zero
+  // privatized_off mask) instead.
+  bool privatization_downgraded = false;
+  std::vector<char> privatized_off;
+  std::unique_ptr<BatchFft> bfft;  // the interleaved FFT passes, L ≥ 2 only
   OperatorStats fwd_stats;
   OperatorStats adj_stats;
   std::vector<TraceEvent> trace;
@@ -101,21 +116,36 @@ class Nufft {
 
   // --- re-entrant apply API (the workspace-lease model) ---
 
-  /// A fresh workspace sized for this plan.
-  Workspace make_workspace() const;
+  /// A fresh workspace for up to `lanes` slices per pass (clamped to
+  /// [1, kMaxBatch]; larger applies run in chunks).
+  Workspace make_workspace(index_t lanes = 1) const;
 
-  /// Bytes a workspace for this plan occupies (grid + private buffers).
-  std::size_t workspace_bytes() const;
+  /// Bytes make_workspace(lanes) allocates: lanes × (grid + privatized
+  /// boxes), plus the batched FFT's scratch when lanes ≥ 2.
+  std::size_t workspace_bytes(index_t lanes = 1) const;
 
-  /// image (N^dim, centered, row-major) → raw. Thread-safe on a const plan:
-  /// concurrent calls must pass distinct workspaces and distinct pools.
-  void forward(const cfloat* image, cfloat* raw, Workspace& ws, ThreadPool& pool) const;
+  /// nb slices through one driver: images[b] is an image_elems() array
+  /// (N^dim, centered, row-major), raws[b] a sample_count() array in caller
+  /// order, b < nb. Thread-safe on a const plan: concurrent calls must pass
+  /// distinct workspaces and distinct pools. Each chunk of ws.lanes slices
+  /// is one pass; ws's stats and trace cover the whole apply.
+  void forward(const cfloat* const* images, cfloat* const* raws, index_t nb, Workspace& ws,
+               ThreadPool& pool) const;
 
-  /// raw (sample values, caller order) → image (N^dim). Same contract.
-  /// Both directions run the FFT pruned to the image-support rows
-  /// (fft::FftNd::transform_pruned), bit-identical in their outputs to
-  /// image_to_grid/spread + the full FftNd transform + interp/grid_to_image.
-  void adjoint(const cfloat* raw, cfloat* image, Workspace& ws, ThreadPool& pool) const;
+  /// raws → images, the same contract. Both directions run the FFT pruned
+  /// to the image-support rows (fft::FftNd::transform_pruned), bit-identical
+  /// in their outputs to image_to_grid/spread + the full FftNd transform +
+  /// interp/grid_to_image.
+  void adjoint(const cfloat* const* raws, cfloat* const* images, index_t nb, Workspace& ws,
+               ThreadPool& pool) const;
+
+  /// Single-slice applies: the driver at nb = 1.
+  void forward(const cfloat* image, cfloat* raw, Workspace& ws, ThreadPool& pool) const {
+    forward(&image, &raw, 1, ws, pool);
+  }
+  void adjoint(const cfloat* raw, cfloat* image, Workspace& ws, ThreadPool& pool) const {
+    adjoint(&raw, &image, 1, ws, pool);
+  }
 
   // --- convenience apply API (uses the plan-owned workspace and pool) ---
 
@@ -148,7 +178,7 @@ class Nufft {
   /// Forward convolution only: gather raw samples from the internal grid.
   void interp(cfloat* raw);
 
-  /// The internal oversampled grid (grid_desc().grid_elems() values). Fully
+  /// The plan-owned workspace's grid (grid_desc().grid_elems() values). Fully
   /// defined after spread()/image_to_grid() and forward(); after adjoint()
   /// only its image-support cells hold the inverse transform (see Workspace).
   cfloat* grid_data() { return ws_.grid.data(); }
@@ -196,14 +226,24 @@ class Nufft {
     return ev;
   }
 
-  // --- the passes around the FFT, over nb ≤ kMaxBatch grids ---
+  // --- the passes of the driver, over nb ≤ kMaxBatch grids ---
   // The nb grids are cell-interleaved: lane b of grid cell c lives at
   // slabs[c·nb + b] (at nb = 1, the single grid). images/raws are one
-  // pointer per lane. The single-RHS applies call them at nb = 1,
-  // exec::BatchNufft at its chunk width — one implementation of each pass.
+  // pointer per lane.
+
+  /// One forward / adjoint pass over nb ≤ ws.lanes slices; phase times
+  /// accumulate into ws's stats.
+  void forward_chunk(const cfloat* const* images, cfloat* const* raws, index_t nb,
+                     Workspace& ws, ThreadPool& pool) const;
+  void adjoint_chunk(const cfloat* const* raws, cfloat* const* images, index_t nb,
+                     Workspace& ws, ThreadPool& pool) const;
 
   /// Zero `elems` grid values in parallel.
   static void clear_slabs(cfloat* slabs, std::size_t elems, ThreadPool& pool);
+  /// Size ws.private_bufs for the current privatization marks at ws.lanes
+  /// lanes — keep already-sized boxes, size new ones, release the rest — or
+  /// downgrade ws to direct scatter when they cannot be allocated.
+  void fit_private_bufs(Workspace& ws) const;
   /// Fused scale pass: write every lane of every cell exactly once (zero
   /// padding, or image value × rolloff × chop).
   void images_to_slabs(const cfloat* const* images, index_t nb, cfloat* slabs,
@@ -211,19 +251,18 @@ class Nufft {
   /// Crop + scale + chop each lane back into its image.
   void slabs_to_images(const cfloat* slabs, index_t nb, cfloat* const* images,
                        ThreadPool& pool) const;
-  /// Forward convolution of every task through variant `v`.
-  void interp_slabs(const ConvVariant& v, const cfloat* slabs, index_t nb, cfloat* const* raws,
+  /// The pruned FFT of nb grids in ws: the plan's own transform at nb = 1,
+  /// the workspace's interleaved BatchFft passes above.
+  void fft_slabs(Workspace& ws, index_t nb, fft::Direction dir, ThreadPool& pool) const;
+  /// Forward convolution of every task through the bound variant.
+  void interp_slabs(const cfloat* slabs, index_t nb, cfloat* const* raws,
                     ThreadPool& pool) const;
-  /// Adjoint convolution into pre-cleared grids, one scheduler walk. Task k
-  /// with privatized[k] set convolves into private_bufs[k] (a box of
-  /// box_elems cells, nb lanes each, interleaved like the grids) and
+  /// Adjoint convolution into ws's pre-cleared grids, one scheduler walk.
+  /// Task k with a privatized mark convolves into ws.private_bufs[k] (a box
+  /// of box_elems cells, nb lanes each, interleaved like the grids) and
   /// reduces into the grids.
-  SchedulerStats spread_slabs(const ConvVariant& v, const cfloat* const* raws, index_t nb,
-                              cfloat* slabs, std::vector<cvecf>& private_bufs,
-                              const std::vector<char>& privatized, ThreadPool& pool) const;
-  /// Single-RHS spread into ws.grid (pre-cleared); stats accumulate.
-  void run_spread(const cfloat* raw, Workspace& ws, ThreadPool& pool,
-                  OperatorStats* stats) const;
+  SchedulerStats spread_slabs(const cfloat* const* raws, index_t nb, Workspace& ws,
+                              ThreadPool& pool) const;
 
   GridDesc g_;
   PlanConfig cfg_;
@@ -251,7 +290,7 @@ class Nufft {
   std::shared_ptr<kernels::KernelHorner> horner_;  // set iff cfg_.eval == kHorner
   const ConvVariant* conv_variant_ = nullptr;  // bound at construction, never null
   PlanStats plan_stats_;
-  Workspace ws_;  // the plan-owned workspace behind the convenience API
+  Workspace ws_;  // the plan-owned one-lane workspace behind the convenience API
 };
 
 }  // namespace nufft

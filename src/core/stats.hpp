@@ -33,7 +33,7 @@ struct PlanStats {
 /// Timing breakdown for one operator application, in seconds.
 ///
 /// Reset/accumulate discipline: an apply resets its stats struct at entry
-/// and then only accumulates — multi-pass applies (BatchNufft chunk loops,
+/// and then only accumulates — multi-pass applies (the driver's chunk loop,
 /// every scheduler walk of an adjoint) add their contribution per pass, so
 /// after the apply `tasks` / `busy_ns_per_context` cover *all* passes and
 /// `total_s` ≥ phase_sum() (the difference is scheduler/loop overhead plus
@@ -50,10 +50,9 @@ struct OperatorStats {
   int privatized_tasks = 0;
   std::vector<std::uint64_t> busy_ns_per_context;
 
-  // Graceful-degradation record (exec::BatchNufft): set when this apply ran
-  // on the scalar convolution path after a SIMD-path allocation failure, or
-  // without selective privatization after its buffers failed to allocate.
-  bool simd_downgraded = false;
+  // Graceful-degradation record: set when this apply ran without selective
+  // privatization because its workspace's private buffers failed to
+  // allocate (Workspace::privatization_downgraded).
   bool privatization_downgraded = false;
 
   /// Fold one scheduler pass into the running totals. busy times accumulate

@@ -362,102 +362,70 @@ JobResult NufftEngine::run_job(Job& job, ThreadPool& pool, Running& rec) {
   // Plan-update jobs are done once the plan resolved — nothing to apply.
   if (job.plan_only) return JobResult{};
   JobResult result;
-  if (job.batch == 1) {
-    auto ws = lease_workspace(plan);
-    // A throwing apply must still return the lease: every apply fully
-    // overwrites or re-zeroes the workspace buffers, so a lease that saw a
-    // failure is indistinguishable from a fresh one and pooling it back
-    // cannot poison later jobs. Leaking it instead would shrink the pool by
-    // one slot per failure until every job allocates from scratch.
-    try {
-      fault::inject("engine.apply", ErrorCode::kInternal);
-      fault::inject("engine.apply.transient", ErrorCode::kResourceExhausted);
-      if (job.op == Op::kForward) {
-        plan->forward(job.in, job.out, *ws, pool);
-        result.stats = ws->fwd_stats;
-      } else {
-        plan->adjoint(job.in, job.out, *ws, pool);
-        result.stats = ws->adj_stats;
-      }
-      result.trace = std::move(ws->trace);
-    } catch (...) {
-      return_workspace(plan.get(), std::move(ws));
-      throw;
-    }
-    return_workspace(plan.get(), std::move(ws));
-  } else {
-    auto bn = lease_batch(plan, job.batch);
-    try {
-      fault::inject("engine.apply", ErrorCode::kInternal);
-      fault::inject("engine.apply.transient", ErrorCode::kResourceExhausted);
-      std::vector<const cfloat*> in(static_cast<std::size_t>(job.batch));
-      std::vector<cfloat*> out(static_cast<std::size_t>(job.batch));
+  auto ws = lease_workspace(plan, std::min(job.batch, kMaxBatch));
+  // A throwing apply must still return the lease: every apply fully
+  // overwrites or re-zeroes the workspace buffers, so a lease that saw a
+  // failure is indistinguishable from a fresh one and pooling it back
+  // cannot poison later jobs. Leaking it instead would shrink the pool by
+  // one slot per failure until every job allocates from scratch.
+  try {
+    fault::inject("engine.apply", ErrorCode::kInternal);
+    fault::inject("engine.apply.transient", ErrorCode::kResourceExhausted);
+    // One pointer per slice; a single-slice job points at its own buffers.
+    const cfloat* const* in = &job.in;
+    cfloat* const* out = &job.out;
+    std::vector<const cfloat*> ins;
+    std::vector<cfloat*> outs;
+    if (job.batch > 1) {
       const index_t in_stride =
           job.op == Op::kForward ? plan->image_elems() : plan->sample_count();
       const index_t out_stride =
           job.op == Op::kForward ? plan->sample_count() : plan->image_elems();
       for (index_t b = 0; b < job.batch; ++b) {
-        in[static_cast<std::size_t>(b)] = job.in + b * in_stride;
-        out[static_cast<std::size_t>(b)] = job.out + b * out_stride;
+        ins.push_back(job.in + b * in_stride);
+        outs.push_back(job.out + b * out_stride);
       }
-      if (job.op == Op::kForward) {
-        bn->forward(in.data(), out.data(), job.batch, pool);
-        result.stats = bn->last_forward_stats();
-      } else {
-        bn->adjoint(in.data(), out.data(), job.batch, pool);
-        result.stats = bn->last_adjoint_stats();
-      }
-      result.trace = bn->last_trace();
-    } catch (...) {
-      return_batch(plan.get(), std::move(bn));
-      throw;
+      in = ins.data();
+      out = outs.data();
     }
-    return_batch(plan.get(), std::move(bn));
+    if (job.op == Op::kForward) {
+      plan->forward(in, out, job.batch, *ws, pool);
+      result.stats = ws->fwd_stats;
+    } else {
+      plan->adjoint(in, out, job.batch, *ws, pool);
+      result.stats = ws->adj_stats;
+    }
+    result.trace = std::move(ws->trace);
+  } catch (...) {
+    return_workspace(plan.get(), std::move(ws));
+    throw;
   }
+  return_workspace(plan.get(), std::move(ws));
   return result;
 }
 
-std::unique_ptr<Workspace> NufftEngine::lease_workspace(
-    const std::shared_ptr<const Nufft>& plan) {
+std::unique_ptr<Workspace> NufftEngine::lease_workspace(const std::shared_ptr<const Nufft>& plan,
+                                                        index_t lanes) {
   {
     std::lock_guard<std::mutex> lock(lease_mu_);
     LeasePool& lp = leases_[plan.get()];
     if (!lp.pin) lp.pin = plan;
-    if (!lp.workspaces.empty()) {
-      auto ws = std::move(lp.workspaces.back());
-      lp.workspaces.pop_back();
-      return ws;
+    // Most recently returned first: its buffers are the likeliest to be
+    // cache-warm.
+    for (auto it = lp.workspaces.rbegin(); it != lp.workspaces.rend(); ++it) {
+      if ((*it)->lanes >= lanes) {
+        auto ws = std::move(*it);
+        lp.workspaces.erase(std::next(it).base());
+        return ws;
+      }
     }
   }
-  return std::make_unique<Workspace>(plan->make_workspace());
+  return std::make_unique<Workspace>(plan->make_workspace(lanes));
 }
 
 void NufftEngine::return_workspace(const Nufft* plan, std::unique_ptr<Workspace> ws) {
   std::lock_guard<std::mutex> lock(lease_mu_);
   leases_[plan].workspaces.push_back(std::move(ws));
-}
-
-std::unique_ptr<BatchNufft> NufftEngine::lease_batch(const std::shared_ptr<const Nufft>& plan,
-                                                     index_t batch) {
-  const index_t want = std::min(batch, kMaxBatch);
-  {
-    std::lock_guard<std::mutex> lock(lease_mu_);
-    LeasePool& lp = leases_[plan.get()];
-    if (!lp.pin) lp.pin = plan;
-    for (auto it = lp.batches.begin(); it != lp.batches.end(); ++it) {
-      if ((*it)->max_batch() >= want) {
-        auto bn = std::move(*it);
-        lp.batches.erase(it);
-        return bn;
-      }
-    }
-  }
-  return std::make_unique<BatchNufft>(*plan, want);
-}
-
-void NufftEngine::return_batch(const Nufft* plan, std::unique_ptr<BatchNufft> bn) {
-  std::lock_guard<std::mutex> lock(lease_mu_);
-  leases_[plan].batches.push_back(std::move(bn));
 }
 
 void NufftEngine::wait_idle() {

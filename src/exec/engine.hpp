@@ -2,9 +2,10 @@
 // plans and collect results through futures.
 //
 // The engine is the consumer of the workspace-lease model (core/nufft.hpp):
-// worker threads lease a per-job Workspace (batch == 1) or a BatchNufft
-// (batch > 1) from per-plan free lists, so any number of in-flight jobs may
-// target the *same* plan concurrently — the plan itself is only read. Each
+// worker threads lease a per-job Workspace with at least the job's lane
+// count (min(batch, kMaxBatch)) from one per-plan free list, so any number
+// of in-flight jobs may target the *same* plan concurrently — the plan
+// itself is only read. Every job runs the plan's one apply driver. Each
 // worker owns a private ThreadPool (run_on_all does not nest), sized by
 // EngineConfig::threads_per_worker; total concurrency is
 // workers × threads_per_worker execution contexts.
@@ -36,7 +37,6 @@
 
 #include "core/nufft.hpp"
 #include "core/stats.hpp"
-#include "exec/batch_nufft.hpp"
 #include "exec/plan_registry.hpp"
 
 namespace nufft::exec {
@@ -218,13 +218,12 @@ class NufftEngine {
     std::promise<JobResult> promise;
   };
 
-  // Per-plan free lists of leased apply state. `pin` keeps the plan alive
-  // while leased buffers exist, so a recycled pointer can never alias a
-  // different plan.
+  // Per-plan free list of leased workspaces, of any lane capacity. `pin`
+  // keeps the plan alive while leased buffers exist, so a recycled pointer
+  // can never alias a different plan.
   struct LeasePool {
     std::shared_ptr<const Nufft> pin;
     std::vector<std::unique_ptr<Workspace>> workspaces;
-    std::vector<std::unique_ptr<BatchNufft>> batches;
   };
 
   // One dispatched job's shared state between its worker and the watchdog.
@@ -248,11 +247,11 @@ class NufftEngine {
   JobResult dispatch_job(Job& job, ThreadPool& pool, Running& rec);
   JobResult run_job(Job& job, ThreadPool& pool, Running& rec);
 
-  std::unique_ptr<Workspace> lease_workspace(const std::shared_ptr<const Nufft>& plan);
+  /// The most recently returned free workspace of `plan` with at least
+  /// `lanes` lanes, or a fresh one of exactly that capacity.
+  std::unique_ptr<Workspace> lease_workspace(const std::shared_ptr<const Nufft>& plan,
+                                             index_t lanes);
   void return_workspace(const Nufft* plan, std::unique_ptr<Workspace> ws);
-  std::unique_ptr<BatchNufft> lease_batch(const std::shared_ptr<const Nufft>& plan,
-                                          index_t batch);
-  void return_batch(const Nufft* plan, std::unique_ptr<BatchNufft> bn);
 
   EngineConfig cfg_;
   mutable std::mutex mu_;

@@ -26,6 +26,12 @@
 
 namespace nufft::fuzz {
 
+/// The default differential sweep (tests/fuzz/test_fuzz.cpp): configs
+/// kSweepBaseSeed .. kSweepBaseSeed + kSweepConfigs − 1. Fixed so CI runs
+/// are reproducible; the paper's conference date.
+inline constexpr std::uint64_t kSweepBaseSeed = 20120521;
+inline constexpr std::int64_t kSweepConfigs = 224;
+
 enum class CoordStyle {
   kUniform,      // uniform over [0, m)
   kInteger,      // pinned to grid cells (maximal 2W+1 windows)

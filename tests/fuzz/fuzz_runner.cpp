@@ -353,11 +353,9 @@ OutputDigest apply_digest(const FuzzConfig& c, const char* variant, const Nufft&
 }
 
 // Recorded from the single-RHS operator before the batched and single-RHS
-// drivers were merged: every full config of the default sweep
-// (tests/fuzz/test_fuzz.cpp) on every variant. Re-record by running
-// nufft_fuzz_tests --gtest_also_run_disabled_tests
-// (filter Fuzz.DISABLED_PrintOutputDigests, with disabled tests enabled),
-// and only for a change meant to alter the operator's rounding.
+// drivers were merged: every full config of the default sweep on every
+// variant. Re-record (tests/fuzz/print_digests.cpp) only for a change meant
+// to alter the operator's rounding.
 constexpr OutputDigest kRecordedDigests[] = {
 #include "fuzz/fuzz_digests.inc"
 };

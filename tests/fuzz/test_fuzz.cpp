@@ -15,21 +15,18 @@
 // (FuzzRegression.*) so they re-run even if the sweep parameters change.
 #include <gtest/gtest.h>
 
-#include <cstdio>
 #include <string>
 #include <vector>
 
 #include "common/env.hpp"
 #include "fuzz/fuzz_config.hpp"
-#include "digest.hpp"
 #include "fuzz/fuzz_runner.hpp"
 
 namespace nufft::fuzz {
 namespace {
 
 // Fixed default so CI runs are reproducible; override via NUFFT_FUZZ_SEED.
-constexpr std::uint64_t kBaseSeed = 20120521;  // the paper's conference date
-constexpr std::int64_t kDefaultConfigs = 224;
+constexpr std::uint64_t kBaseSeed = kSweepBaseSeed;
 
 // Pinned seeds for the regression tests below, chosen by scanning the
 // generator for the property each test needs (asserted before running).
@@ -54,7 +51,7 @@ void expect_clean(std::uint64_t seed) {
 TEST(Fuzz, DifferentialSweep) {
   const auto base = static_cast<std::uint64_t>(env_int("NUFFT_FUZZ_SEED",
                                                        static_cast<std::int64_t>(kBaseSeed)));
-  const auto n = env_int("NUFFT_FUZZ_CONFIGS", kDefaultConfigs);
+  const auto n = env_int("NUFFT_FUZZ_CONFIGS", kSweepConfigs);
   int rejected = 0;
   int streamed = 0;
   for (std::int64_t i = 0; i < n; ++i) {
@@ -77,24 +74,11 @@ TEST(Fuzz, RecordedDigestsCoverDefaultSweep) {
   // The sweep checks a variant's bits only where a digest was recorded:
   // every full config of the default sweep must have one per variant, or
   // the pin silently thins out.
-  for (std::int64_t i = 0; i < kDefaultConfigs; ++i) {
+  for (std::int64_t i = 0; i < kSweepConfigs; ++i) {
     const FuzzConfig c = make_fuzz_config(kBaseSeed + static_cast<std::uint64_t>(i));
     if (c.footprint_exceeds_grid()) continue;
     for (const char* v : {"scalar", "sse", "avx2"}) {
       EXPECT_NE(recorded_digest(c.seed, v), nullptr) << v << " " << c.describe();
-    }
-  }
-}
-
-// Prints the default sweep's digests in fuzz_digests.inc form (see
-// kRecordedDigests in fuzz_runner.cpp).
-TEST(Fuzz, DISABLED_PrintOutputDigests) {
-  for (std::int64_t i = 0; i < kDefaultConfigs; ++i) {
-    const FuzzConfig c = make_fuzz_config(kBaseSeed + static_cast<std::uint64_t>(i));
-    for (const OutputDigest& d : output_digests(c)) {
-      std::printf("{%llu, \"%s\", %s, %s},\n", static_cast<unsigned long long>(d.seed),
-                  d.variant, testing::digest_hex(d.forward).c_str(),
-                  testing::digest_hex(d.adjoint).c_str());
     }
   }
 }

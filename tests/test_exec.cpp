@@ -23,7 +23,7 @@
 #include "datasets/trajectory.hpp"
 #include "digest.hpp"
 #include "fft/fftnd.hpp"
-#include "exec/batch_fft.hpp"
+#include "core/batch_fft.hpp"
 #include "exec/batch_nufft.hpp"
 #include "exec/engine.hpp"
 #include "exec/plan_registry.hpp"
@@ -307,7 +307,7 @@ void check_batch_fft(const FftPair& p, index_t nb, fft::Direction dir, int threa
     }
   }
   ThreadPool pool(threads);
-  exec::BatchFft bfft(p.g, *p.fwd, *p.inv, nb, 1);
+  BatchFft bfft(p.g, *p.fwd, *p.inv, nb, 1);
   bfft.transform(grids.data(), nb, dir, pool, batched_stages);
   const fft::FftNd<float>& plan = dir == fft::Direction::kForward ? *p.fwd : *p.inv;
   for (index_t b = 0; b < nb; ++b) {
@@ -588,6 +588,116 @@ TEST(NufftEngine, BatchedJobsMatchSingles) {
               1e-5)
         << "slice " << b;
   }
+}
+
+TEST(NufftEngine, MixedLaneJobsShareOneLeaseListBitwise) {
+  // batch = 1 and batch = 4 jobs interleaved on one plan across two workers
+  // lease from one free list, so a single-slice job may run on a 4-lane
+  // workspace and vice versa a 4-slice job never on a smaller one. Either
+  // way each output is bitwise the same apply made directly with a fresh
+  // workspace of the job's lane count on a one-thread pool.
+  constexpr index_t kLanes = 4;
+  constexpr int kRounds = 6;
+  Fixture f = make_fixture(2);
+  PlanConfig cfg;
+  cfg.threads = 1;
+  auto plan = std::make_shared<const Nufft>(f.g, f.set, cfg);
+  const index_t ni = f.g.image_elems();
+  const index_t ns = f.set.count();
+
+  cvecf imgs(static_cast<std::size_t>(kLanes * ni));
+  cvecf raws(static_cast<std::size_t>(kLanes * ns));
+  for (index_t b = 0; b < kLanes; ++b) {
+    std::memcpy(imgs.data() + b * ni, f.images[b].data(), static_cast<std::size_t>(ni) * sizeof(cfloat));
+    std::memcpy(raws.data() + b * ns, f.raws[b].data(), static_cast<std::size_t>(ns) * sizeof(cfloat));
+  }
+
+  // Direct references: one fresh workspace per lane count, one thread.
+  cvecf fref1(static_cast<std::size_t>(ns)), aref1(static_cast<std::size_t>(ni));
+  cvecf fref4(raws.size()), aref4(imgs.size());
+  {
+    ThreadPool one(1);
+    Workspace ws1 = plan->make_workspace(1);
+    plan->forward(imgs.data(), fref1.data(), ws1, one);
+    plan->adjoint(raws.data(), aref1.data(), ws1, one);
+    Workspace ws4 = plan->make_workspace(kLanes);
+    std::vector<const cfloat*> in(kLanes);
+    std::vector<cfloat*> out(kLanes);
+    for (index_t b = 0; b < kLanes; ++b) {
+      in[static_cast<std::size_t>(b)] = imgs.data() + b * ni;
+      out[static_cast<std::size_t>(b)] = fref4.data() + b * ns;
+    }
+    plan->forward(in.data(), out.data(), kLanes, ws4, one);
+    for (index_t b = 0; b < kLanes; ++b) {
+      in[static_cast<std::size_t>(b)] = raws.data() + b * ns;
+      out[static_cast<std::size_t>(b)] = aref4.data() + b * ni;
+    }
+    plan->adjoint(in.data(), out.data(), kLanes, ws4, one);
+  }
+
+  exec::EngineConfig ec;
+  ec.workers = 2;
+  ec.threads_per_worker = 1;
+  NufftEngine engine(ec);
+  std::vector<cvecf> fgot1(kRounds, cvecf(fref1.size())), agot1(kRounds, cvecf(aref1.size()));
+  std::vector<cvecf> fgot4(kRounds, cvecf(fref4.size())), agot4(kRounds, cvecf(aref4.size()));
+  std::vector<std::future<exec::JobResult>> futs;
+  for (int r = 0; r < kRounds; ++r) {
+    const auto rs = static_cast<std::size_t>(r);
+    futs.push_back(engine.submit(exec::Op::kForward, plan, imgs.data(), fgot1[rs].data()));
+    futs.push_back(
+        engine.submit(exec::Op::kForward, plan, imgs.data(), fgot4[rs].data(), kLanes));
+    futs.push_back(engine.submit(exec::Op::kAdjoint, plan, raws.data(), agot1[rs].data()));
+    futs.push_back(
+        engine.submit(exec::Op::kAdjoint, plan, raws.data(), agot4[rs].data(), kLanes));
+  }
+  for (auto& fut : futs) fut.get();
+  engine.wait_idle();
+
+  for (int r = 0; r < kRounds; ++r) {
+    const auto rs = static_cast<std::size_t>(r);
+    EXPECT_TRUE(bitwise_equal(fgot1[rs].data(), fref1.data(), ns)) << "fwd batch 1, round " << r;
+    EXPECT_TRUE(bitwise_equal(agot1[rs].data(), aref1.data(), ni)) << "adj batch 1, round " << r;
+    EXPECT_TRUE(bitwise_equal(fgot4[rs].data(), fref4.data(), kLanes * ns))
+        << "fwd batch 4, round " << r;
+    EXPECT_TRUE(bitwise_equal(agot4[rs].data(), aref4.data(), kLanes * ni))
+        << "adj batch 4, round " << r;
+  }
+}
+
+// --- Workspace sizing -------------------------------------------------------
+
+TEST(Workspace, BytesAreLanesTimesGridAndBoxesPlusFftScratch) {
+  Fixture f = make_fixture(2);
+  PlanConfig cfg;
+  cfg.threads = 2;
+  Nufft plan(f.g, f.set, cfg);
+  std::size_t box_cells = 0;
+  for (std::size_t k = 0; k < plan.plan().tasks.size(); ++k) {
+    if (plan.plan().privatized[k]) {
+      box_cells += static_cast<std::size_t>(plan.plan().tasks[k].box_elems(f.g.dim));
+    }
+  }
+  ASSERT_GT(box_cells, 0u) << "fixture privatizes no task";
+  const std::size_t cells = static_cast<std::size_t>(f.g.grid_elems()) + box_cells;
+
+  for (const index_t lanes : {1, 2, 4, 16}) {
+    SCOPED_TRACE("lanes=" + std::to_string(lanes));
+    const Workspace ws = plan.make_workspace(lanes);
+    EXPECT_EQ(ws.lanes, lanes);
+    EXPECT_EQ(ws.bfft != nullptr, lanes >= 2);
+    std::size_t held = ws.grid.size();
+    for (const cvecf& box : ws.private_bufs) held += box.size();
+    EXPECT_EQ(held, static_cast<std::size_t>(lanes) * cells);
+    const std::size_t fft = lanes >= 2 ? BatchFft::scratch_bytes(f.g, lanes, 2) : 0;
+    EXPECT_EQ(plan.workspace_bytes(lanes), held * sizeof(cfloat) + fft);
+  }
+
+  // Recorded before the single-RHS and batched drivers were merged: the
+  // one-lane Workspace, and a 4-slice BatchNufft's grids + boxes + BatchFft
+  // scratch (two contexts; the scratch pads columns to the AVX2 width).
+  EXPECT_EQ(plan.workspace_bytes(1), 22048u);
+  if (avx2_available()) EXPECT_EQ(plan.workspace_bytes(4), 98432u);
 }
 
 // --- Failure handling ------------------------------------------------------

@@ -10,6 +10,7 @@
 #include <cstring>
 #include <filesystem>
 #include <future>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -364,56 +365,7 @@ TEST_F(FaultTest, EnvProbSpecArmsSites) {
   fault::reset();
 }
 
-// --- BatchNufft graceful degradation ---------------------------------------
-
-TEST_F(FaultTest, SimdAllocFailureDegradesToScalarWithinTolerance) {
-  Fixture f = make_fixture();
-  PlanConfig cfg;
-  cfg.use_simd = true;
-  cfg.isa = SimdIsa::kSse;
-  cfg.threads = 1;
-  Nufft plan(f.g, f.set, cfg);
-
-  std::vector<cvecf> ref(kBatch, cvecf(static_cast<std::size_t>(f.set.count())));
-  for (index_t b = 0; b < kBatch; ++b) plan.forward(f.images[b].data(), ref[b].data());
-
-  BatchNufft batch(plan, kBatch);
-  EXPECT_FALSE(batch.simd_downgraded());
-  std::vector<const cfloat*> in;
-  std::vector<cfloat*> out;
-  std::vector<cvecf> got(kBatch, cvecf(static_cast<std::size_t>(f.set.count())));
-  for (index_t b = 0; b < kBatch; ++b) {
-    in.push_back(f.images[b].data());
-    out.push_back(got[b].data());
-  }
-
-  fault::arm("batch.simd_alloc", 1);
-  batch.forward(in.data(), out.data(), kBatch);
-  EXPECT_EQ(fault::fired("batch.simd_alloc"), 1u);
-  EXPECT_TRUE(batch.simd_downgraded());
-  EXPECT_TRUE(batch.last_forward_stats().simd_downgraded);
-  for (index_t b = 0; b < kBatch; ++b) {
-    EXPECT_LT(testing::rel_err(got[b].data(), ref[b].data(), f.set.count()), 1e-5)
-        << "slice " << b;
-  }
-
-  // The downgrade is sticky and the instance stays serviceable.
-  std::vector<cvecf> aref(kBatch, cvecf(static_cast<std::size_t>(f.g.image_elems())));
-  for (index_t b = 0; b < kBatch; ++b) plan.adjoint(f.raws[b].data(), aref[b].data());
-  std::vector<const cfloat*> rin;
-  std::vector<cfloat*> iout;
-  std::vector<cvecf> agot(kBatch, cvecf(static_cast<std::size_t>(f.g.image_elems())));
-  for (index_t b = 0; b < kBatch; ++b) {
-    rin.push_back(f.raws[b].data());
-    iout.push_back(agot[b].data());
-  }
-  batch.adjoint(rin.data(), iout.data(), kBatch);
-  EXPECT_TRUE(batch.last_adjoint_stats().simd_downgraded);
-  for (index_t b = 0; b < kBatch; ++b) {
-    EXPECT_LT(testing::rel_err(agot[b].data(), aref[b].data(), f.g.image_elems()), 1e-5)
-        << "slice " << b;
-  }
-}
+// --- Workspace graceful degradation ----------------------------------------
 
 TEST_F(FaultTest, PrivateBufferAllocFailureFallsBackToDirectScatter) {
   Fixture f = make_fixture();
@@ -424,25 +376,32 @@ TEST_F(FaultTest, PrivateBufferAllocFailureFallsBackToDirectScatter) {
 
   std::vector<cvecf> ref(kBatch, cvecf(static_cast<std::size_t>(f.g.image_elems())));
   for (index_t b = 0; b < kBatch; ++b) plan.adjoint(f.raws[b].data(), ref[b].data());
+  ASSERT_GT(plan.last_adjoint_stats().privatized_tasks, 0) << "fixture privatizes no task";
 
-  fault::arm("batch.private_alloc", 1);
-  BatchNufft batch(plan, kBatch);
-  EXPECT_EQ(fault::fired("batch.private_alloc"), 1u);
-  EXPECT_TRUE(batch.privatization_downgraded());
+  // The downgrade lives on the workspace, so it covers every lane count: a
+  // one-lane workspace runs the kBatch slices one chunk each.
+  for (const index_t lanes : {index_t{1}, kBatch}) {
+    SCOPED_TRACE("lanes=" + std::to_string(lanes));
+    fault::reset();
+    fault::arm("workspace.private_alloc", 1);
+    BatchNufft batch(plan, lanes);
+    EXPECT_EQ(fault::fired("workspace.private_alloc"), 1u);
+    EXPECT_TRUE(batch.privatization_downgraded());
 
-  std::vector<const cfloat*> in;
-  std::vector<cfloat*> out;
-  std::vector<cvecf> got(kBatch, cvecf(static_cast<std::size_t>(f.g.image_elems())));
-  for (index_t b = 0; b < kBatch; ++b) {
-    in.push_back(f.raws[b].data());
-    out.push_back(got[b].data());
-  }
-  batch.adjoint(in.data(), out.data(), kBatch);
-  EXPECT_TRUE(batch.last_adjoint_stats().privatization_downgraded);
-  EXPECT_EQ(batch.last_adjoint_stats().privatized_tasks, 0);
-  for (index_t b = 0; b < kBatch; ++b) {
-    EXPECT_LT(testing::rel_err(got[b].data(), ref[b].data(), f.g.image_elems()), 1e-5)
-        << "slice " << b;
+    std::vector<const cfloat*> in;
+    std::vector<cfloat*> out;
+    std::vector<cvecf> got(kBatch, cvecf(static_cast<std::size_t>(f.g.image_elems())));
+    for (index_t b = 0; b < kBatch; ++b) {
+      in.push_back(f.raws[b].data());
+      out.push_back(got[b].data());
+    }
+    batch.adjoint(in.data(), out.data(), kBatch);
+    EXPECT_TRUE(batch.last_adjoint_stats().privatization_downgraded);
+    EXPECT_EQ(batch.last_adjoint_stats().privatized_tasks, 0);
+    for (index_t b = 0; b < kBatch; ++b) {
+      EXPECT_LT(testing::rel_err(got[b].data(), ref[b].data(), f.g.image_elems()), 1e-5)
+          << "slice " << b;
+    }
   }
 }
 

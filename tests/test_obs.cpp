@@ -471,10 +471,10 @@ TEST(Trace, BatchAdjointSpanSumMatchesStats) {
   double conv_span_s = 0.0, fft_span_s = 0.0, scale_span_s = 0.0, apply_span_s = 0.0;
   for (const auto& s : spans) {
     const double dur = static_cast<double>(s.t1_ns - s.t0_ns) * 1e-9;
-    if (std::string_view(s.name) == "batch.conv") conv_span_s += dur;
-    if (std::string_view(s.name) == "batch.fft") fft_span_s += dur;
-    if (std::string_view(s.name) == "batch.scale") scale_span_s += dur;
-    if (std::string_view(s.name) == "batch.adjoint") apply_span_s += dur;
+    if (std::string_view(s.name) == "nufft.conv") conv_span_s += dur;
+    if (std::string_view(s.name) == "nufft.fft") fft_span_s += dur;
+    if (std::string_view(s.name) == "nufft.scale") scale_span_s += dur;
+    if (std::string_view(s.name) == "nufft.adjoint") apply_span_s += dur;
   }
   ASSERT_GT(conv_span_s, 0.0);
   ASSERT_GT(apply_span_s, 0.0);
