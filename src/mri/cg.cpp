@@ -23,10 +23,22 @@ double dot_real(const cfloat* a, const cfloat* b, index_t n) {
 
 CgResult conjugate_gradient(const std::function<void(const cfloat*, cfloat*)>& normal_op,
                             const cfloat* rhs, cfloat* x, index_t n, const CgOptions& opt) {
+  CgWorkspace ws;
+  return conjugate_gradient(normal_op, rhs, x, n, opt, ws);
+}
+
+CgResult conjugate_gradient(const std::function<void(const cfloat*, cfloat*)>& normal_op,
+                            const cfloat* rhs, cfloat* x, index_t n, const CgOptions& opt,
+                            CgWorkspace& ws) {
   CgResult result;
-  cvecf r(static_cast<std::size_t>(n));
-  cvecf p(static_cast<std::size_t>(n));
-  cvecf q(static_cast<std::size_t>(n));
+  // Every element is written before it is read (r and p by the copies
+  // below, q by normal_op), so reused vectors need no clearing.
+  cvecf& r = ws.r;
+  cvecf& p = ws.p;
+  cvecf& q = ws.q;
+  r.resize(static_cast<std::size_t>(n));
+  p.resize(static_cast<std::size_t>(n));
+  q.resize(static_cast<std::size_t>(n));
 
   zero_complex(x, static_cast<std::size_t>(n));
   std::memcpy(r.data(), rhs, static_cast<std::size_t>(n) * sizeof(cfloat));

@@ -24,9 +24,23 @@ struct CgResult {
   std::vector<double> residual_norms;  // ‖r_k‖ after each iteration
 };
 
+/// The solver's residual, search-direction and operator-output vectors.
+/// A caller that solves repeatedly keeps one, so every solve after the
+/// first reuses its buffers instead of allocating 3·n values.
+struct CgWorkspace {
+  cvecf r;
+  cvecf p;
+  cvecf q;
+};
+
 /// Solve (AᴴA + λI)x = rhs with x starting at zero.
 /// `normal_op(in, out)` must compute out = AᴴA·in (n values each).
 CgResult conjugate_gradient(const std::function<void(const cfloat*, cfloat*)>& normal_op,
                             const cfloat* rhs, cfloat* x, index_t n, const CgOptions& opt);
+
+/// The same solve on the caller's vectors (resized to n as needed).
+CgResult conjugate_gradient(const std::function<void(const cfloat*, cfloat*)>& normal_op,
+                            const cfloat* rhs, cfloat* x, index_t n, const CgOptions& opt,
+                            CgWorkspace& ws);
 
 }  // namespace nufft::mri

@@ -64,7 +64,7 @@ ReconResult MultichannelRecon::reconstruct(const std::vector<cvecf>& data, const
 
   Timer t;
   // rhs = Aᴴ b = Σ_c conj(S_c) ⊙ adjoint(data_c), adjoints batched over coils
-  cvecf rhs(static_cast<std::size_t>(n), cfloat(0.0f, 0.0f));
+  rhs_.assign(static_cast<std::size_t>(n), cfloat(0.0f, 0.0f));
   {
     std::vector<const cfloat*> in(maps_.size());
     std::vector<cfloat*> out(maps_.size());
@@ -76,12 +76,12 @@ ReconResult MultichannelRecon::reconstruct(const std::vector<cvecf>& data, const
   }
   for (std::size_t c = 0; c < maps_.size(); ++c) {
     accumulate_coil_adjoint(maps_[c].data(),
-                            tmp_adjs_.data() + c * static_cast<std::size_t>(n), rhs.data(), n);
+                            tmp_adjs_.data() + c * static_cast<std::size_t>(n), rhs_.data(), n);
   }
 
   pair_calls_ = 0.0;
   result.cg = conjugate_gradient([this](const cfloat* in, cfloat* out) { normal_op(in, out); },
-                                 rhs.data(), result.image.data(), n, opt);
+                                 rhs_.data(), result.image.data(), n, opt, cg_ws_);
   result.seconds = t.seconds();
   result.nufft_calls = pair_calls_;
   return result;

@@ -54,6 +54,10 @@ class MultichannelRecon {
   cvecf tmp_images_;  // coils · image_elems(), coil-major
   cvecf tmp_raws_;    // coils · sample_count()
   cvecf tmp_adjs_;    // coils · image_elems()
+  // Per-solve vectors kept across reconstruct() calls, so repeated solves
+  // allocate nothing (and peak RSS does not follow the heap's layout).
+  cvecf rhs_;         // image_elems()
+  CgWorkspace cg_ws_;
   double pair_calls_ = 0.0;
 };
 
