@@ -34,7 +34,7 @@ Nufft::Nufft(const GridDesc& g, const datasets::SampleSet& samples, const PlanCo
 
 Nufft::Nufft(const GridDesc& g, const datasets::SampleSet& samples, const PlanConfig& cfg,
              Preprocessed restored)
-    : g_(g), cfg_(cfg), nsamples_(samples.count()) {
+    : g_(g), cfg_(cfg) {
   // Tolerance-driven plans resolve their kernel parameters first, so every
   // check and table below sees the resolved width/eval. Deterministic, so a
   // restored plan preprocessed under the same cfg resolves identically.
@@ -61,7 +61,7 @@ Nufft::Nufft(const GridDesc& g, const datasets::SampleSet& samples, const PlanCo
   }
   pool_ = std::make_unique<ThreadPool>(cfg_.threads);
   if (restored.graph != nullptr) {
-    NUFFT_CHECK_MSG(static_cast<index_t>(restored.orig_index.size()) == nsamples_,
+    NUFFT_CHECK_MSG(static_cast<index_t>(restored.orig_index.size()) == samples.count(),
                     "restored plan does not match the sample set");
     pp_ = std::move(restored);
   } else {
@@ -159,8 +159,7 @@ Nufft::Nufft(const GridDesc& g, const datasets::SampleSet& samples, const PlanCo
 
 Nufft::Nufft(const Nufft& src, const datasets::SampleSet& new_samples, const UpdateOptions& opts)
     : g_(src.g_),
-      cfg_(src.cfg_),  // already tolerance-resolved — do NOT re-apply
-      nsamples_(new_samples.count()) {
+      cfg_(src.cfg_) {  // already tolerance-resolved — do NOT re-apply
   datasets::validate_samples(new_samples);
   NUFFT_CHECK(new_samples.dim == g_.dim);
   for (int d = 0; d < g_.dim; ++d) {
@@ -199,7 +198,6 @@ UpdatePath Nufft::update_samples(const datasets::SampleSet& new_samples,
   }
   const UpdatePath path = update_preprocessed(pp_, g_, new_samples, cfg_, *pool_, opts);
   if (path == UpdatePath::kNoop) return path;
-  nsamples_ = new_samples.count();
   ++plan_stats_.generation;
   plan_stats_.warm_updated = path == UpdatePath::kWarm;
   // Reconcile the plan-owned workspace with the new privatization marks.
@@ -224,14 +222,14 @@ ConvRange Nufft::conv_range(const ConvTask& task, bool box_local) const {
 }
 
 Workspace Nufft::make_workspace(index_t lanes) const {
+  lanes = std::min<index_t>(std::max<index_t>(lanes, 1), kMaxBatch);
   Workspace ws;
-  ws.lanes = std::min<index_t>(std::max<index_t>(lanes, 1), kMaxBatch);
   // The grids are the irreducible working set — without them there is no
   // apply at all, so this allocation failure propagates.
-  ws.grid.resize(static_cast<std::size_t>(ws.lanes) * static_cast<std::size_t>(g_.grid_elems()));
+  ws.grid.resize(static_cast<std::size_t>(lanes) * static_cast<std::size_t>(g_.grid_elems()));
   fit_private_bufs(ws);
-  if (ws.lanes >= 2) {
-    ws.bfft = std::make_unique<BatchFft>(g_, *fft_fwd_, *fft_inv_, ws.lanes, pool_->size());
+  if (lanes >= 2) {
+    ws.bfft = std::make_unique<BatchFft>(g_, *fft_fwd_, *fft_inv_, lanes, pool_->size());
   }
   return ws;
 }
@@ -241,25 +239,21 @@ void Nufft::fit_private_bufs(Workspace& ws) const {
   // allocated (L × box_elems per over-dense task can dwarf the grids on
   // dense trajectories), degrade to the TDG-serialized direct-scatter path
   // instead of failing.
-  if (!ws.privatization_downgraded) {
-    try {
-      fault::inject_alloc("workspace.private_alloc");
-      ws.private_bufs.resize(pp_.tasks.size());
-      for (std::size_t k = 0; k < pp_.tasks.size(); ++k) {
-        if (pp_.privatized[k]) {
-          ws.private_bufs[k].resize(static_cast<std::size_t>(ws.lanes) *
-                                    static_cast<std::size_t>(pp_.tasks[k].box_elems(g_.dim)));
-        } else if (!ws.private_bufs[k].empty()) {
-          cvecf().swap(ws.private_bufs[k]);
-        }
+  const auto box_lanes = static_cast<std::size_t>(lanes(ws));
+  try {
+    fault::inject_alloc("workspace.private_alloc");
+    ws.private_bufs.resize(pp_.tasks.size());
+    for (std::size_t k = 0; k < pp_.tasks.size(); ++k) {
+      if (pp_.privatized[k]) {
+        ws.private_bufs[k].resize(box_lanes *
+                                  static_cast<std::size_t>(pp_.tasks[k].box_elems(g_.dim)));
+      } else if (!ws.private_bufs[k].empty()) {
+        cvecf().swap(ws.private_bufs[k]);
       }
-      return;
-    } catch (const std::bad_alloc&) {
-      std::vector<cvecf>().swap(ws.private_bufs);
-      ws.privatization_downgraded = true;
     }
+  } catch (const std::bad_alloc&) {
+    std::vector<cvecf>().swap(ws.private_bufs);
   }
-  ws.privatized_off.assign(pp_.tasks.size(), 0);
 }
 
 std::size_t Nufft::workspace_bytes(index_t lanes) const {
@@ -482,10 +476,11 @@ SchedulerStats Nufft::spread_slabs(const cfloat* const* raws, index_t nb, Worksp
   SchedulerConfig scfg;
   scfg.priority_queue = cfg_.priority_queue;
   scfg.record_trace = cfg_.record_trace;
-  // A downgraded workspace's all-zero mask routes every task through the
-  // TDG-serialized direct-scatter path.
-  const auto& privatized = ws.privatization_downgraded ? ws.privatized_off : pp_.privatized;
-  return run_task_graph(*pp_.graph, pp_.weights, privatized, pool, body, scfg);
+  // A downgraded workspace passes no privatization marks, which routes every
+  // task through the TDG-serialized direct-scatter path.
+  static const std::vector<char> kNoneMarked;
+  const auto& marks = privatization_downgraded(ws) ? kNoneMarked : pp_.privatized;
+  return run_task_graph(*pp_.graph, pp_.weights, marks, pool, body, scfg);
 }
 
 void Nufft::spread(const cfloat* raw) {
@@ -573,11 +568,12 @@ void Nufft::forward(const cfloat* const* images, cfloat* const* raws, index_t nb
   ws.trace.clear();
   obs::Span apply("nufft.forward", "core", nb);
   Timer total;
-  for (index_t off = 0; off < nb; off += ws.lanes) {
-    forward_chunk(images + off, raws + off, std::min(ws.lanes, nb - off), ws, pool);
+  const index_t cap = lanes(ws);
+  for (index_t off = 0; off < nb; off += cap) {
+    forward_chunk(images + off, raws + off, std::min(cap, nb - off), ws, pool);
   }
   ws.fwd_stats.total_s = total.seconds();
-  ws.fwd_stats.privatization_downgraded = ws.privatization_downgraded;
+  ws.fwd_stats.privatization_downgraded = privatization_downgraded(ws);
 }
 
 void Nufft::adjoint(const cfloat* const* raws, cfloat* const* images, index_t nb, Workspace& ws,
@@ -587,11 +583,12 @@ void Nufft::adjoint(const cfloat* const* raws, cfloat* const* images, index_t nb
   ws.trace.clear();
   obs::Span apply("nufft.adjoint", "core", nb);
   Timer total;
-  for (index_t off = 0; off < nb; off += ws.lanes) {
-    adjoint_chunk(raws + off, images + off, std::min(ws.lanes, nb - off), ws, pool);
+  const index_t cap = lanes(ws);
+  for (index_t off = 0; off < nb; off += cap) {
+    adjoint_chunk(raws + off, images + off, std::min(cap, nb - off), ws, pool);
   }
   ws.adj_stats.total_s = total.seconds();
-  ws.adj_stats.privatization_downgraded = ws.privatization_downgraded;
+  ws.adj_stats.privatization_downgraded = privatization_downgraded(ws);
 }
 
 void Nufft::forward(const cfloat* image, cfloat* raw) { forward(&image, &raw, 1, ws_, *pool_); }

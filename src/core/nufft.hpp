@@ -61,21 +61,17 @@ class BatchNufft;
 /// movable and plan-specific (buffer shapes follow the plan's grid and task
 /// list).
 struct Workspace {
-  /// Lane capacity L: slices one driver pass processes (1 ≤ L ≤ kMaxBatch).
-  index_t lanes = 1;
-  // L cell-interleaved oversampled grids, L·grid_elems() values. After a
-  // one-slice forward() lane 0 holds the full transform; after adjoint() the
-  // inverse transform only on the image-support cells the scale pass reads
-  // (the pruned FFT skips the rest).
+  // L cell-interleaved oversampled grids, L·grid_elems() values; L is the
+  // lane capacity (Nufft::lanes), 1 ≤ L ≤ kMaxBatch. After a one-slice
+  // forward() lane 0 holds the full transform; after adjoint() the inverse
+  // transform only on the image-support cells the scale pass reads (the
+  // pruned FFT skips the rest).
   cvecf grid;
-  // One box per privatized task, L lanes per cell (empty else, and all
-  // empty when privatization_downgraded).
+  // One box per task, L lanes per cell, sized for privatized tasks and empty
+  // for the rest. Left empty altogether when the boxes could not be
+  // allocated (Nufft::privatization_downgraded): spreads then run every task
+  // through the TDG-serialized direct-scatter path.
   std::vector<cvecf> private_bufs;
-  // Set when the private buffers could not be allocated: spreads run every
-  // task through the TDG-serialized direct-scatter path (the all-zero
-  // privatized_off mask) instead.
-  bool privatization_downgraded = false;
-  std::vector<char> privatized_off;
   std::unique_ptr<BatchFft> bfft;  // the interleaved FFT passes, L ≥ 2 only
   OperatorStats fwd_stats;
   OperatorStats adj_stats;
@@ -112,7 +108,7 @@ class Nufft {
   const GridDesc& grid_desc() const { return g_; }
   const PlanConfig& config() const { return cfg_; }
   index_t image_elems() const { return g_.image_elems(); }
-  index_t sample_count() const { return nsamples_; }
+  index_t sample_count() const { return static_cast<index_t>(pp_.orig_index.size()); }
 
   // --- re-entrant apply API (the workspace-lease model) ---
 
@@ -124,10 +120,22 @@ class Nufft {
   /// boxes), plus the batched FFT's scratch when lanes ≥ 2.
   std::size_t workspace_bytes(index_t lanes = 1) const;
 
+  /// Lane capacity of a workspace made by this plan.
+  index_t lanes(const Workspace& ws) const {
+    return static_cast<index_t>(ws.grid.size()) / g_.grid_elems();
+  }
+
+  /// True when ws's private reduction buffers failed to allocate and its
+  /// spreads fall back to direct scatter (also mirrored into the per-apply
+  /// stats).
+  bool privatization_downgraded(const Workspace& ws) const {
+    return ws.private_bufs.size() != pp_.tasks.size();
+  }
+
   /// nb slices through one driver: images[b] is an image_elems() array
   /// (N^dim, centered, row-major), raws[b] a sample_count() array in caller
   /// order, b < nb. Thread-safe on a const plan: concurrent calls must pass
-  /// distinct workspaces and distinct pools. Each chunk of ws.lanes slices
+  /// distinct workspaces and distinct pools. Each chunk of lanes(ws) slices
   /// is one pass; ws's stats and trace cover the whole apply.
   void forward(const cfloat* const* images, cfloat* const* raws, index_t nb, Workspace& ws,
                ThreadPool& pool) const;
@@ -231,7 +239,7 @@ class Nufft {
   // slabs[c·nb + b] (at nb = 1, the single grid). images/raws are one
   // pointer per lane.
 
-  /// One forward / adjoint pass over nb ≤ ws.lanes slices; phase times
+  /// One forward / adjoint pass over nb ≤ lanes(ws) slices; phase times
   /// accumulate into ws's stats.
   void forward_chunk(const cfloat* const* images, cfloat* const* raws, index_t nb,
                      Workspace& ws, ThreadPool& pool) const;
@@ -240,8 +248,8 @@ class Nufft {
 
   /// Zero `elems` grid values in parallel.
   static void clear_slabs(cfloat* slabs, std::size_t elems, ThreadPool& pool);
-  /// Size ws.private_bufs for the current privatization marks at ws.lanes
-  /// lanes — keep already-sized boxes, size new ones, release the rest — or
+  /// Size ws.private_bufs for the current privatization marks at
+  /// lanes(ws) lanes — keep already-sized boxes, size new ones, release the rest — or
   /// downgrade ws to direct scatter when they cannot be allocated.
   void fit_private_bufs(Workspace& ws) const;
   /// Fused scale pass: write every lane of every cell exactly once (zero
@@ -266,7 +274,6 @@ class Nufft {
 
   GridDesc g_;
   PlanConfig cfg_;
-  index_t nsamples_ = 0;
   std::unique_ptr<ThreadPool> pool_;
   Preprocessed pp_;
   // shared_ptr (not unique): a warm-derived plan shares these immutable

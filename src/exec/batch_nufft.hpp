@@ -63,7 +63,7 @@ class BatchNufft {
   BatchNufft& operator=(const BatchNufft&) = delete;
 
   const Nufft& plan() const { return *plan_; }
-  index_t max_batch() const { return ws_.lanes; }
+  index_t max_batch() const { return plan_->lanes(ws_); }
 
   // Pointer-per-slice API: images[b] is an image_elems() array, raws[b] a
   // sample_count() array, b < nb. The pool-less overloads run on the plan's
@@ -90,7 +90,7 @@ class BatchNufft {
   /// True once the private reduction buffers failed to allocate and the
   /// workspace fell back to direct scatter (also mirrored into the
   /// per-apply stats).
-  bool privatization_downgraded() const { return ws_.privatization_downgraded; }
+  bool privatization_downgraded() const { return plan_->privatization_downgraded(ws_); }
 
  private:
   const Nufft* plan_;

@@ -413,7 +413,7 @@ std::unique_ptr<Workspace> NufftEngine::lease_workspace(const std::shared_ptr<co
     // Most recently returned first: its buffers are the likeliest to be
     // cache-warm.
     for (auto it = lp.workspaces.rbegin(); it != lp.workspaces.rend(); ++it) {
-      if ((*it)->lanes >= lanes) {
+      if (plan->lanes(**it) >= lanes) {
         auto ws = std::move(*it);
         lp.workspaces.erase(std::next(it).base());
         return ws;

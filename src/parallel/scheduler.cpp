@@ -122,7 +122,10 @@ SchedulerStats run_task_graph(const TaskGraph& graph, const std::vector<index_t>
                               const SchedulerConfig& cfg) {
   const int n = graph.size();
   NUFFT_CHECK(static_cast<int>(weights.size()) == n);
-  NUFFT_CHECK(static_cast<int>(privatized.size()) == n);
+  NUFFT_CHECK(privatized.empty() || static_cast<int>(privatized.size()) == n);
+  const auto is_private = [&](int t) {
+    return !privatized.empty() && privatized[static_cast<std::size_t>(t)] != 0;
+  };
 
   SchedulerStats stats;
   stats.tasks = n;
@@ -133,7 +136,7 @@ SchedulerStats run_task_graph(const TaskGraph& graph, const std::vector<index_t>
   // finish before the node's grid-exclusive work may run.
   std::vector<std::atomic<int>> pending(static_cast<std::size_t>(n));
   for (int t = 0; t < n; ++t) {
-    const int extra = privatized[static_cast<std::size_t>(t)] ? 1 : 0;
+    const int extra = is_private(t) ? 1 : 0;
     pending[static_cast<std::size_t>(t)].store(graph.node(t).num_preds + extra,
                                                std::memory_order_relaxed);
     if (extra) ++stats.privatized_tasks;
@@ -145,7 +148,7 @@ SchedulerStats run_task_graph(const TaskGraph& graph, const std::vector<index_t>
   // Grid-exclusive phase of a node: convolve for normal tasks, reduce for
   // privatized ones.
   auto node_phase = [&](int t) {
-    return privatized[static_cast<std::size_t>(t)] ? JobPhase::kReduce : JobPhase::kConvolve;
+    return is_private(t) ? JobPhase::kReduce : JobPhase::kConvolve;
   };
   auto push_node = [&](int t) {
     queue.push(Job{t, node_phase(t), weights[static_cast<std::size_t>(t)]});
@@ -154,7 +157,7 @@ SchedulerStats run_task_graph(const TaskGraph& graph, const std::vector<index_t>
   // Seed: private convolutions are dependency-free; TDG roots whose pending
   // count is already zero can start their grid-exclusive work directly.
   for (int t = 0; t < n; ++t) {
-    if (privatized[static_cast<std::size_t>(t)]) {
+    if (is_private(t)) {
       queue.push(Job{t, JobPhase::kPrivateConvolve, weights[static_cast<std::size_t>(t)]});
     }
   }

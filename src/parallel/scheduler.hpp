@@ -57,7 +57,8 @@ struct SchedulerStats {
 
 /// Execute one pass of the TDG.
 ///   weights[t]     — priority of task t (its sample count)
-///   privatized[t]  — nonzero when task t uses selective privatization
+///   privatized[t]  — nonzero when task t uses selective privatization;
+///                    an empty vector marks no task
 ///   body(t, tid, phase) — performs the work of `phase` for task t on
 ///                         execution context tid
 /// Blocks until every node has completed. Returns scheduling statistics.

@@ -684,7 +684,7 @@ TEST(Workspace, BytesAreLanesTimesGridAndBoxesPlusFftScratch) {
   for (const index_t lanes : {1, 2, 4, 16}) {
     SCOPED_TRACE("lanes=" + std::to_string(lanes));
     const Workspace ws = plan.make_workspace(lanes);
-    EXPECT_EQ(ws.lanes, lanes);
+    EXPECT_EQ(plan.lanes(ws), lanes);
     EXPECT_EQ(ws.bfft != nullptr, lanes >= 2);
     std::size_t held = ws.grid.size();
     for (const cvecf& box : ws.private_bufs) held += box.size();
