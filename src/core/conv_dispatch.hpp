@@ -1,8 +1,8 @@
 // Backend dispatch registry: the one convolution engine.
 //
 // The paper's core claim is that spreading/interpolation dominates NUFFT
-// runtime and is won or lost in the inner loop. Every convolution — single
-// RHS (core/nufft.cpp) and batched (exec::BatchNufft) — runs through one
+// runtime and is won or lost in the inner loop. Every convolution — of the
+// one apply driver (core/nufft.cpp) at any lane count — runs through one
 // function pointer bound from this registry at plan construction. The
 // variants are instantiations of one template (core/conv_variants.hpp)
 // covering the whole (Part 1 window + Part 2 gather/scatter) sample loop:

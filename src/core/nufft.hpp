@@ -248,8 +248,8 @@ class Nufft {
 
   /// Zero `elems` grid values in parallel.
   static void clear_slabs(cfloat* slabs, std::size_t elems, ThreadPool& pool);
-  /// Size ws.private_bufs for the current privatization marks at
-  /// lanes(ws) lanes — keep already-sized boxes, size new ones, release the rest — or
+  /// Size ws.private_bufs for the current privatization marks at lanes(ws)
+  /// lanes — keep already-sized boxes, size new ones, release the rest — or
   /// downgrade ws to direct scatter when they cannot be allocated.
   void fit_private_bufs(Workspace& ws) const;
   /// Fused scale pass: write every lane of every cell exactly once (zero

@@ -71,7 +71,7 @@ class FftNd {
   /// The support rows of `axis` (all indices when built without support).
   const std::vector<index_t>& support(std::size_t axis) const { return support_[axis].rows; }
 
-  /// The 1D plan used for `axis` — lets batched drivers (exec::BatchFft)
+  /// The 1D plan used for `axis` — lets batched drivers (BatchFft)
   /// run its stages on their own row layouts.
   const Fft1d<T>& axis_plan(std::size_t axis) const { return plans_[axis]; }
 

@@ -25,6 +25,17 @@ inline std::uint64_t digest64(const cfloat* data, index_t n) {
   return h;
 }
 
+/// Whether the recorded AVX2 digests apply to this build. The AVX2 TUs are
+/// compiled with -mfma, where the compiler may contract a multiply and an
+/// add into one FMA; sanitizer instrumentation changes where it does, so
+/// AVX2 bits belong to the build as well as to the source. Scalar and SSE
+/// outputs (no FMA) are pinned in every build.
+#ifdef NUFFT_SANITIZED
+inline constexpr bool kAvx2DigestsApply = false;
+#else
+inline constexpr bool kAvx2DigestsApply = true;
+#endif
+
 /// "0x%016llx", the form the recorded tables use.
 inline std::string digest_hex(std::uint64_t h) {
   char buf[24];

@@ -207,7 +207,10 @@ TEST(BatchNufft, SingleSlabMatchesNufftBitwise) {
   for (const int dim : {1, 2, 3}) {
     for (const ConvBackend backend :
          {ConvBackend::kScalar, ConvBackend::kSse, ConvBackend::kAvx2}) {
-      if (backend == ConvBackend::kAvx2 && !avx2_available()) continue;
+      if (backend == ConvBackend::kAvx2 &&
+          (!avx2_available() || !testing::kAvx2DigestsApply)) {
+        continue;
+      }
       SCOPED_TRACE(std::to_string(dim) + "d " + conv_backend_name(backend));
       const PairDigest want =
           kSingleSlabDigests[dim - 1][static_cast<std::size_t>(backend)];
@@ -608,8 +611,10 @@ TEST(NufftEngine, MixedLaneJobsShareOneLeaseListBitwise) {
   cvecf imgs(static_cast<std::size_t>(kLanes * ni));
   cvecf raws(static_cast<std::size_t>(kLanes * ns));
   for (index_t b = 0; b < kLanes; ++b) {
-    std::memcpy(imgs.data() + b * ni, f.images[b].data(), static_cast<std::size_t>(ni) * sizeof(cfloat));
-    std::memcpy(raws.data() + b * ns, f.raws[b].data(), static_cast<std::size_t>(ns) * sizeof(cfloat));
+    std::memcpy(imgs.data() + b * ni, f.images[b].data(),
+                static_cast<std::size_t>(ni) * sizeof(cfloat));
+    std::memcpy(raws.data() + b * ns, f.raws[b].data(),
+                static_cast<std::size_t>(ns) * sizeof(cfloat));
   }
 
   // Direct references: one fresh workspace per lane count, one thread.

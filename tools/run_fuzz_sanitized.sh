@@ -1,6 +1,8 @@
 #!/usr/bin/env bash
 # Run the differential fuzz harness (`ctest -L fuzz`, including the serving
-# wire-protocol fuzz and the streaming trajectory-delta battery), the
+# wire-protocol fuzz, the streaming trajectory-delta battery and the
+# recorded single-apply output digests — scalar and SSE only here, since
+# instrumentation changes FMA contraction in the AVX2 TUs), the
 # tolerance-contract harness (`ctest -L accuracy`),
 # the parallel-preprocessing suite (`ctest -L preproc`),
 # the FFT substrate suite (`ctest -L fft`, the padded gather/scatter tails of
@@ -8,10 +10,11 @@
 # the convolution-dispatch suite (`ctest -L dispatch`, the constexpr-W vs
 # runtime-width bit-match matrix and the boundary-coordinate trim sweep),
 # the batched-execution suite (`ctest -L concurrency`, nufft_exec_tests —
-# BatchNufft drives the lane kernels over cell-interleaved grids and the
-# interleaved BatchFft passes, plus the registry and engine), the
-# fault-injection suite (`ctest -L faults`, nufft_fault_tests — BatchNufft's
-# SIMD→scalar and privatization downgrades rerun those paths),
+# the apply driver runs the lane kernels over cell-interleaved grids and the
+# interleaved BatchFft passes, plus the registry, the engine's mixed-lane
+# leases and the recorded nb = 1 output digests), the fault-injection suite
+# (`ctest -L faults`, nufft_fault_tests — the workspace's privatization
+# downgrade reruns the direct-scatter path at one and four lanes),
 # the streaming plan-update suite (`ctest -L streaming`, the warm-vs-cold
 # bit-match matrix — under TSan this races concurrent update-vs-apply paths
 # on the pool), the serving-layer suite (`ctest -L serve`) and the chaos
