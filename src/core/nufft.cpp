@@ -153,8 +153,7 @@ Nufft::Nufft(const GridDesc& g, const datasets::SampleSet& samples, const PlanCo
   plan_stats_.conv_variant = conv_variant_->name;
   obs::count(std::string("nufft.conv.variant.") + plan_stats_.conv_variant);
 
-  // The plan-owned workspace backing the convenience (non-const) API.
-  ws_ = make_workspace();
+  init_own_workspace();
 }
 
 Nufft::Nufft(const Nufft& src, const datasets::SampleSet& new_samples, const UpdateOptions& opts)
@@ -185,7 +184,7 @@ Nufft::Nufft(const Nufft& src, const datasets::SampleSet& new_samples, const Upd
   if (path != UpdatePath::kNoop) ++plan_stats_.generation;
   plan_stats_.warm_updated = path == UpdatePath::kWarm;
 
-  ws_ = make_workspace();
+  init_own_workspace();
 }
 
 UpdatePath Nufft::update_samples(const datasets::SampleSet& new_samples,
@@ -200,9 +199,18 @@ UpdatePath Nufft::update_samples(const datasets::SampleSet& new_samples,
   if (path == UpdatePath::kNoop) return path;
   ++plan_stats_.generation;
   plan_stats_.warm_updated = path == UpdatePath::kWarm;
-  // Reconcile the plan-owned workspace with the new privatization marks.
+  // Reconcile the plan-owned workspace with the new privatization marks:
+  // keep already-sized boxes, size newly privatized ones, release the rest.
   fit_private_bufs(ws_);
   return path;
+}
+
+void Nufft::init_own_workspace() {
+  // The plan-owned workspace backing the convenience (non-const) API: one
+  // lane, sized outright — a plan that cannot hold its own boxes fails to
+  // build rather than downgrading.
+  ws_.grid.resize(static_cast<std::size_t>(g_.grid_elems()));
+  fit_private_bufs(ws_);
 }
 
 Nufft::~Nufft() = default;
@@ -227,7 +235,16 @@ Workspace Nufft::make_workspace(index_t lanes) const {
   // The grids are the irreducible working set — without them there is no
   // apply at all, so this allocation failure propagates.
   ws.grid.resize(static_cast<std::size_t>(lanes) * static_cast<std::size_t>(g_.grid_elems()));
-  fit_private_bufs(ws);
+  // The private reduction boxes are an optimization: when they cannot be
+  // allocated (L × box_elems per over-dense task can dwarf the grids on
+  // dense trajectories), degrade to the TDG-serialized direct-scatter path
+  // instead of failing.
+  try {
+    fault::inject_alloc("workspace.private_alloc");
+    fit_private_bufs(ws);
+  } catch (const std::bad_alloc&) {
+    std::vector<cvecf>().swap(ws.private_bufs);
+  }
   if (lanes >= 2) {
     ws.bfft = std::make_unique<BatchFft>(g_, *fft_fwd_, *fft_inv_, lanes, pool_->size());
   }
@@ -235,24 +252,15 @@ Workspace Nufft::make_workspace(index_t lanes) const {
 }
 
 void Nufft::fit_private_bufs(Workspace& ws) const {
-  // The private reduction buffers are an optimization: when they cannot be
-  // allocated (L × box_elems per over-dense task can dwarf the grids on
-  // dense trajectories), degrade to the TDG-serialized direct-scatter path
-  // instead of failing.
   const auto box_lanes = static_cast<std::size_t>(lanes(ws));
-  try {
-    fault::inject_alloc("workspace.private_alloc");
-    ws.private_bufs.resize(pp_.tasks.size());
-    for (std::size_t k = 0; k < pp_.tasks.size(); ++k) {
-      if (pp_.privatized[k]) {
-        ws.private_bufs[k].resize(box_lanes *
-                                  static_cast<std::size_t>(pp_.tasks[k].box_elems(g_.dim)));
-      } else if (!ws.private_bufs[k].empty()) {
-        cvecf().swap(ws.private_bufs[k]);
-      }
+  ws.private_bufs.resize(pp_.tasks.size());
+  for (std::size_t k = 0; k < pp_.tasks.size(); ++k) {
+    if (pp_.privatized[k]) {
+      ws.private_bufs[k].resize(box_lanes *
+                                static_cast<std::size_t>(pp_.tasks[k].box_elems(g_.dim)));
+    } else if (!ws.private_bufs[k].empty()) {
+      cvecf().swap(ws.private_bufs[k]);
     }
-  } catch (const std::bad_alloc&) {
-    std::vector<cvecf>().swap(ws.private_bufs);
   }
 }
 

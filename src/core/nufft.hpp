@@ -113,7 +113,9 @@ class Nufft {
   // --- re-entrant apply API (the workspace-lease model) ---
 
   /// A fresh workspace for up to `lanes` slices per pass (clamped to
-  /// [1, kMaxBatch]; larger applies run in chunks).
+  /// [1, kMaxBatch]; larger applies run in chunks). When its private boxes
+  /// cannot be allocated it comes back downgraded (privatization_downgraded)
+  /// instead of throwing; a grid allocation failure propagates.
   Workspace make_workspace(index_t lanes = 1) const;
 
   /// Bytes make_workspace(lanes) allocates: lanes × (grid + privatized
@@ -127,7 +129,8 @@ class Nufft {
 
   /// True when ws's private reduction buffers failed to allocate and its
   /// spreads fall back to direct scatter (also mirrored into the per-apply
-  /// stats).
+  /// stats). A workspace made before update_samples changed the task count
+  /// reads as downgraded too, and spreads the same safe way.
   bool privatization_downgraded(const Workspace& ws) const {
     return ws.private_bufs.size() != pp_.tasks.size();
   }
@@ -249,9 +252,11 @@ class Nufft {
   /// Zero `elems` grid values in parallel.
   static void clear_slabs(cfloat* slabs, std::size_t elems, ThreadPool& pool);
   /// Size ws.private_bufs for the current privatization marks at lanes(ws)
-  /// lanes — keep already-sized boxes, size new ones, release the rest — or
-  /// downgrade ws to direct scatter when they cannot be allocated.
+  /// lanes — keep already-sized boxes, size new ones, release the rest.
+  /// Propagates bad_alloc; only make_workspace downgrades on it.
   void fit_private_bufs(Workspace& ws) const;
+  /// Allocate the plan-owned one-lane ws_ (bad_alloc propagates).
+  void init_own_workspace();
   /// Fused scale pass: write every lane of every cell exactly once (zero
   /// padding, or image value × rolloff × chop).
   void images_to_slabs(const cfloat* const* images, index_t nb, cfloat* slabs,

@@ -410,14 +410,20 @@ std::unique_ptr<Workspace> NufftEngine::lease_workspace(const std::shared_ptr<co
     std::lock_guard<std::mutex> lock(lease_mu_);
     LeasePool& lp = leases_[plan.get()];
     if (!lp.pin) lp.pin = plan;
-    // Most recently returned first: its buffers are the likeliest to be
-    // cache-warm.
+    // Best fit: the narrowest free workspace that holds the job, so a
+    // single-slice job does not tie up a wide one a batched job could use.
+    // Ties go to the most recently returned.
+    auto best = lp.workspaces.rend();
     for (auto it = lp.workspaces.rbegin(); it != lp.workspaces.rend(); ++it) {
-      if (plan->lanes(**it) >= lanes) {
-        auto ws = std::move(*it);
-        lp.workspaces.erase(std::next(it).base());
-        return ws;
+      const index_t have = plan->lanes(**it);
+      if (have >= lanes && (best == lp.workspaces.rend() || have < plan->lanes(**best))) {
+        best = it;
       }
+    }
+    if (best != lp.workspaces.rend()) {
+      auto ws = std::move(*best);
+      lp.workspaces.erase(std::next(best).base());
+      return ws;
     }
   }
   return std::make_unique<Workspace>(plan->make_workspace(lanes));
@@ -426,6 +432,15 @@ std::unique_ptr<Workspace> NufftEngine::lease_workspace(const std::shared_ptr<co
 void NufftEngine::return_workspace(const Nufft* plan, std::unique_ptr<Workspace> ws) {
   std::lock_guard<std::mutex> lock(lease_mu_);
   leases_[plan].workspaces.push_back(std::move(ws));
+}
+
+std::vector<index_t> NufftEngine::free_workspace_lanes(const Nufft& plan) const {
+  std::lock_guard<std::mutex> lock(lease_mu_);
+  std::vector<index_t> out;
+  const auto it = leases_.find(&plan);
+  if (it == leases_.end()) return out;
+  for (const auto& ws : it->second.workspaces) out.push_back(plan.lanes(*ws));
+  return out;
 }
 
 void NufftEngine::wait_idle() {

@@ -3,7 +3,8 @@
 //
 // The engine is the consumer of the workspace-lease model (core/nufft.hpp):
 // worker threads lease a per-job Workspace with at least the job's lane
-// count (min(batch, kMaxBatch)) from one per-plan free list, so any number
+// count (min(batch, kMaxBatch)) from one per-plan free list, narrowest fit
+// first, so any number
 // of in-flight jobs may target the *same* plan concurrently — the plan
 // itself is only read. Every job runs the plan's one apply driver. Each
 // worker owns a private ThreadPool (run_on_all does not nest), sized by
@@ -194,6 +195,10 @@ class NufftEngine {
   /// Watchdog counters; all-zero when the watchdog is disabled.
   WatchdogStats watchdog_stats() const;
 
+  /// Lane capacities of `plan`'s free leased workspaces, oldest first;
+  /// once the engine is idle, every workspace it holds for the plan.
+  std::vector<index_t> free_workspace_lanes(const Nufft& plan) const;
+
   int workers() const {
     std::lock_guard<std::mutex> lock(mu_);
     return static_cast<int>(threads_.size());
@@ -247,8 +252,9 @@ class NufftEngine {
   JobResult dispatch_job(Job& job, ThreadPool& pool, Running& rec);
   JobResult run_job(Job& job, ThreadPool& pool, Running& rec);
 
-  /// The most recently returned free workspace of `plan` with at least
-  /// `lanes` lanes, or a fresh one of exactly that capacity.
+  /// The free workspace of `plan` with the fewest lanes ≥ `lanes` (most
+  /// recently returned among equals), or a fresh one of exactly that
+  /// capacity.
   std::unique_ptr<Workspace> lease_workspace(const std::shared_ptr<const Nufft>& plan,
                                              index_t lanes);
   void return_workspace(const Nufft* plan, std::unique_ptr<Workspace> ws);
@@ -283,7 +289,7 @@ class NufftEngine {
   std::atomic<std::uint64_t> wd_replacements_{0};
   std::atomic<std::uint64_t> wd_late_{0};
 
-  std::mutex lease_mu_;
+  mutable std::mutex lease_mu_;
   std::map<const Nufft*, LeasePool> leases_;
 };
 

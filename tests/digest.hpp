@@ -25,12 +25,16 @@ inline std::uint64_t digest64(const cfloat* data, index_t n) {
   return h;
 }
 
-/// Whether the recorded AVX2 digests apply to this build. The AVX2 TUs are
-/// compiled with -mfma, where the compiler may contract a multiply and an
-/// add into one FMA; sanitizer instrumentation changes where it does, so
-/// AVX2 bits belong to the build as well as to the source. Scalar and SSE
-/// outputs (no FMA) are pinned in every build.
-#ifdef NUFFT_SANITIZED
+/// Whether the recorded AVX2 digests apply to this build. The AVX2 TUs
+/// (core/convolution_avx2.cpp, fft/column_stages_avx2.cpp) are compiled with
+/// -mfma, where the compiler may contract a multiply and an add into one
+/// FMA, so AVX2 bits belong to the build as well as to the source. The
+/// recorded values are those of an optimized (-O2/-O3, e.g. Release),
+/// uninstrumented GCC 12 build; an unoptimized or sanitizer build contracts
+/// elsewhere and skips only the AVX2 digest comparisons (its AVX2 applies
+/// still run), and another compiler may need them re-recorded. Scalar and
+/// SSE outputs (no FMA) are pinned in every build.
+#if defined(NUFFT_SANITIZED) || !defined(__OPTIMIZE__)
 inline constexpr bool kAvx2DigestsApply = false;
 #else
 inline constexpr bool kAvx2DigestsApply = true;

@@ -354,8 +354,10 @@ OutputDigest apply_digest(const FuzzConfig& c, const char* variant, const Nufft&
 
 // Recorded from the single-RHS operator before the batched and single-RHS
 // drivers were merged: every full config of the default sweep on every
-// variant. Re-record (tests/fuzz/print_digests.cpp) only for a change meant
-// to alter the operator's rounding.
+// variant, in an optimized, uninstrumented GCC 12 build (the AVX2 rows hold
+// only in such builds: testing::kAvx2DigestsApply). Re-record
+// (tests/fuzz/print_digests.cpp) only for a change meant to alter the
+// operator's rounding.
 constexpr OutputDigest kRecordedDigests[] = {
 #include "fuzz/fuzz_digests.inc"
 };

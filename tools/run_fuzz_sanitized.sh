@@ -1,8 +1,9 @@
 #!/usr/bin/env bash
 # Run the differential fuzz harness (`ctest -L fuzz`, including the serving
 # wire-protocol fuzz, the streaming trajectory-delta battery and the
-# recorded single-apply output digests — scalar and SSE only here, since
-# instrumentation changes FMA contraction in the AVX2 TUs), the
+# recorded single-apply output digests — compared for scalar and SSE only
+# here, since instrumentation changes FMA contraction in the AVX2 TUs; the
+# AVX2 applies still run), the
 # tolerance-contract harness (`ctest -L accuracy`),
 # the parallel-preprocessing suite (`ctest -L preproc`),
 # the FFT substrate suite (`ctest -L fft`, the padded gather/scatter tails of
